@@ -12,7 +12,6 @@ import argparse
 import json
 import logging
 import os
-import subprocess
 import sys
 import time
 
@@ -45,21 +44,12 @@ def _atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _git_describe() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip() if out.returncode == 0 else None
-
-
 class Manifest:
-    """Reproducibility record written beside every output artifact."""
+    """Reproducibility record written beside every output artifact.
+
+    Used as a context manager, it writes status "ok" when its block
+    completes and "error" when the block raises, then lets the error through.
+    """
 
     def __init__(self, command: str, config: dict, inputs: list[str]):
         self.payload = {
@@ -69,7 +59,6 @@ class Manifest:
             "inputs": inputs,
             "outputs": [],
             "toolkit_version": __version__,
-            "git_describe": _git_describe(),
             "status": "running",
             "error": None,
             "wall_ms": None,
@@ -87,6 +76,18 @@ class Manifest:
         if anchor is None:
             return
         _atomic_write_text(f"{anchor}.manifest.json", json.dumps(self.payload, indent=2))
+
+    def __enter__(self) -> "Manifest":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc is None:
+            self.write("ok")
+        elif isinstance(exc, UsageError):
+            self.write("error", "usage error")
+        else:
+            self.write("error", str(exc))
+        return False
 
 
 # Training config files may use the TrainConfig field names directly.
@@ -143,9 +144,8 @@ def _cmd_gen(args) -> int:
     conf = _merge_config(args, GEN_DEFAULTS)
     if not conf["out"]:
         raise UsageError("gen requires -o/--out")
-    manifest = Manifest("gen", conf, [])
-    manifest.add_output(conf["out"])
-    try:
+    with Manifest("gen", conf, []) as manifest:
+        manifest.add_output(conf["out"])
         if conf["fixture"]:
             if conf["fixture"] != "beverage":
                 raise UsageError(f"unknown fixture '{conf['fixture']}'")
@@ -168,13 +168,6 @@ def _cmd_gen(args) -> int:
         dat.write_probability_table(table, truth_path)
         manifest.add_output(truth_path)
         log.info("wrote %d observations to %s", len(dataset), conf["out"])
-    except UsageError:
-        manifest.write("error", "usage error")
-        raise
-    except Exception as exc:
-        manifest.write("error", str(exc))
-        raise
-    manifest.write("ok")
     return 0
 
 
@@ -263,9 +256,8 @@ def _cmd_train(args) -> int:
         raise UsageError(f"unknown model kind '{conf['model']}'")
     if conf["model"] != "deephalo-feat" and conf["items"]:
         raise UsageError("--items is only meaningful for deephalo-feat")
-    manifest = Manifest("train", conf, [conf["data"]])
-    manifest.add_output(conf["out"])
-    try:
+    with Manifest("train", conf, [conf["data"]]) as manifest:
+        manifest.add_output(conf["out"])
         dataset = _load_dataset(conf)
         model = _build_model(conf, dataset)
         schedule = None
@@ -297,13 +289,6 @@ def _cmd_train(args) -> int:
                 }
             )
         )
-    except UsageError:
-        manifest.write("error", "usage error")
-        raise
-    except Exception as exc:
-        manifest.write("error", str(exc))
-        raise
-    manifest.write("ok")
     return 0
 
 
@@ -338,9 +323,8 @@ def _cmd_eval(args) -> int:
     for required in ("model_file", "data"):
         if not conf[required]:
             raise UsageError(f"eval requires --{required.replace('_', '-')}")
-    manifest = Manifest("eval", conf, [conf["model_file"], conf["data"]])
-    manifest.add_output(conf["out"])
-    try:
+    with Manifest("eval", conf, [conf["model_file"], conf["data"]]) as manifest:
+        manifest.add_output(conf["out"])
         model = _load_model(conf["model_file"])
         dataset = _load_dataset(conf)
         metrics = trn.evaluate(model, dataset, split=conf["split"])
@@ -355,13 +339,6 @@ def _cmd_eval(args) -> int:
         text = json.dumps(payload, indent=2)
         print(text)
         _atomic_write_text(conf["out"], text)
-    except UsageError:
-        manifest.write("error", "usage error")
-        raise
-    except Exception as exc:
-        manifest.write("error", str(exc))
-        raise
-    manifest.write("ok")
     return 0
 
 
@@ -386,23 +363,17 @@ def _cmd_halo(args) -> int:
     if conf["render_only"]:
         if not conf["svg"]:
             raise UsageError("--render-only needs --svg for its output")
-        manifest = Manifest("halo", conf, [conf["render_only"]])
-        manifest.add_output(conf["svg"])
-        try:
+        with Manifest("halo", conf, [conf["render_only"]]) as manifest:
+            manifest.add_output(conf["svg"])
             table = hal.read_halo_csv(conf["render_only"])
             hal.export_heatmap(table, conf["svg"], format="svg")
-        except Exception as exc:
-            manifest.write("error", str(exc))
-            raise
-        manifest.write("ok")
         return 0
 
     for required in ("model_file", "out"):
         if not conf[required]:
             raise UsageError(f"halo requires --{required.replace('_', '-')}")
-    manifest = Manifest("halo", conf, [conf["model_file"]])
-    manifest.add_output(conf["out"])
-    try:
+    with Manifest("halo", conf, [conf["model_file"]]) as manifest:
+        manifest.add_output(conf["out"])
         model = _load_model(conf["model_file"])
         if model.kind != "featureless":
             raise ValueError(
@@ -420,13 +391,6 @@ def _cmd_halo(args) -> int:
         if conf["svg"]:
             hal.export_heatmap(table, conf["svg"], format="svg")
             manifest.add_output(conf["svg"])
-    except UsageError:
-        manifest.write("error", "usage error")
-        raise
-    except Exception as exc:
-        manifest.write("error", str(exc))
-        raise
-    manifest.write("ok")
     return 0
 
 

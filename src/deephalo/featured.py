@@ -26,8 +26,9 @@ import json
 import numpy as np
 
 from . import autodiff as ad
+from . import training
 from .autodiff import Node
-from .featureless import UtilityVector, choice_probabilities
+from .featureless import UtilityVector, check_ids, choice_probabilities
 
 FORMAT_VERSION = 1
 
@@ -232,49 +233,29 @@ class FeaturedModel:
         return choice_probabilities(self.forward(features, mask))
 
     # -- training hooks ------------------------------------------------------------
+    # Grouping and the loss head live in ``training``; a row of the utility
+    # column, and so ``chosen_slot``, is a slot.
 
     def group_key(self, obs):
+        if obs.features is None:
+            raise ValueError("featured model requires observations with features")
         return (obs.features.tobytes(), obs.choice_set.mask.tobytes())
-
-    def loss_node(self, nodes, observations, kind: str) -> Node:
-        if not observations:
-            raise ValueError("empty batch")
-        groups: dict = {}
-        for obs in observations:
-            if obs.features is None:
-                raise ValueError("featured model requires observations with features")
-            key = self.group_key(obs)
-            if key not in groups:
-                groups[key] = [obs, np.zeros(obs.choice_set.width)]
-            groups[key][1][obs.chosen_slot] += 1.0
-        total = None
-        for key in sorted(groups):
-            obs, counts = groups[key]
-            mask = obs.choice_set.mask
-            u = self.utilities_node(nodes, obs.features, mask)
-            if kind == "nll":
-                logp = ad.masked_log_softmax(u, mask)
-                term = ad.scale(ad.sum_all(ad.hadamard(logp, ad.constant(counts))), -1.0)
-            elif kind == "mse_onehot":
-                p = ad.masked_softmax(u, mask)
-                n_group = counts.sum()
-                freq = counts / n_group
-                quad = ad.sum_all(ad.hadamard(p, p))
-                cross = ad.sum_all(ad.hadamard(p, ad.constant(freq)))
-                per_obs = ad.add_scalar(ad.add(quad, ad.scale(cross, -2.0)), 1.0)
-                term = ad.scale(per_obs, n_group / int(mask.sum()))
-            else:
-                raise ValueError(f"unknown loss kind '{kind}'")
-            total = term if total is None else ad.add(total, term)
-        return ad.scale(total, 1.0 / len(observations))
-
-    def predict(self, obs) -> tuple[np.ndarray, np.ndarray, int]:
-        probs = self.probabilities(obs.features, obs.choice_set.mask)
-        slots = np.flatnonzero(obs.choice_set.mask)
-        return probs, slots, obs.chosen_slot
 
     def chosen_slot(self, obs) -> int:
         return obs.chosen_slot
+
+    def utilities_and_mask(self, nodes, obs) -> tuple[Node, np.ndarray]:
+        """Tape utilities of the observation's slots and its slot mask."""
+        mask = obs.choice_set.mask
+        return self.utilities_node(nodes, obs.features, mask), mask
+
+    def loss_node(self, nodes, observations, kind: str) -> Node:
+        return training.observations_loss(self, nodes, observations, kind)
+
+    def predict(self, obs) -> tuple[np.ndarray, np.ndarray]:
+        """(slot probabilities, real slot indices)."""
+        probs = self.probabilities(obs.features, obs.choice_set.mask)
+        return probs, np.flatnonzero(obs.choice_set.mask)
 
     # -- serialization ------------------------------------------------------------
 
@@ -346,7 +327,7 @@ class CatalogSetModel:
         self.universe = item_features.shape[1]
 
     def set_utilities(self, ids) -> np.ndarray:
-        ids = tuple(int(i) for i in ids)
+        ids = check_ids(ids, self.universe)
         width = self.universe
         x = np.zeros((self.model.feature_dim, width))
         mask = np.zeros(width, dtype=bool)

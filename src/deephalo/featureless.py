@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import training
 from .autodiff import DegenerateSetError, Node
 
 FORMAT_VERSION = 1
@@ -73,6 +74,19 @@ def max_interaction_order(model: "FeaturelessModel") -> int:
     if model.activation == "linear":
         return model.depth
     return 2 ** (model.depth - 1)
+
+
+def check_ids(ids, universe: int) -> tuple[int, ...]:
+    """``ids`` as a tuple of ints: nonempty, distinct, each in ``[0, universe)``."""
+    ids = tuple(int(i) for i in ids)
+    if not ids:
+        raise DegenerateSetError("empty choice set")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate ids in {ids}")
+    for i in ids:
+        if not 0 <= i < universe:
+            raise ValueError(f"id {i} outside universe of size {universe}")
+    return ids
 
 
 def _identity_block(universe: int, width: int) -> np.ndarray:
@@ -226,20 +240,9 @@ class FeaturelessModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _check_ids(self, ids) -> tuple[int, ...]:
-        ids = tuple(int(i) for i in ids)
-        if not ids:
-            raise DegenerateSetError("empty choice set")
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate ids in {ids}")
-        for i in ids:
-            if not 0 <= i < self.universe:
-                raise ValueError(f"id {i} outside universe of size {self.universe}")
-        return ids
-
     def utilities_node(self, nodes: dict[str, Node], ids) -> Node:
         """Tape forward; returns the universe-length utility column."""
-        ids = self._check_ids(ids)
+        ids = check_ids(ids, self.universe)
         member = np.zeros(self.universe)
         member[list(ids)] = 1.0
         lift = np.zeros(self.width)
@@ -272,7 +275,7 @@ class FeaturelessModel:
 
     def forward(self, choice_set) -> UtilityVector:
         """Utilities over the universe: finite on the set, -inf elsewhere."""
-        ids = self._check_ids(getattr(choice_set, "items", choice_set))
+        ids = check_ids(getattr(choice_set, "items", choice_set), self.universe)
         nodes = self.make_param_nodes(trainable=False)
         u = self.utilities_node(nodes, ids)
         mask = np.zeros(self.universe, dtype=bool)
@@ -283,60 +286,36 @@ class FeaturelessModel:
 
     def set_utilities(self, ids) -> np.ndarray:
         """Utilities aligned with ``ids`` order (halo-extraction hook)."""
-        ids = self._check_ids(ids)
+        ids = check_ids(ids, self.universe)
         return self.forward(ids).values[list(ids)]
 
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))
 
     # -- training hooks --------------------------------------------------------
+    # Grouping and the loss head live in ``training``; a row of the utility
+    # column, and so ``chosen_slot``, is an item id.
 
     def group_key(self, obs):
         return tuple(sorted(obs.choice_set.items))
 
-    def _grouped_counts(self, observations):
-        groups: dict[tuple[int, ...], np.ndarray] = {}
-        for obs in observations:
-            key = self.group_key(obs)
-            if key not in groups:
-                groups[key] = np.zeros(self.universe)
-            groups[key][obs.chosen] += 1.0
-        return groups
-
-    def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
-        if not observations:
-            raise ValueError("empty batch")
-        groups = self._grouped_counts(observations)
-        total = None
-        for key in sorted(groups):
-            counts = groups[key]
-            mask = np.zeros(self.universe, dtype=bool)
-            mask[list(key)] = True
-            u = self.utilities_node(nodes, key)
-            if kind == "nll":
-                logp = ad.masked_log_softmax(u, mask)
-                term = ad.scale(ad.sum_all(ad.hadamard(logp, ad.constant(counts))), -1.0)
-            elif kind == "mse_onehot":
-                p = ad.masked_softmax(u, mask)
-                n_group = counts.sum()
-                freq = counts / n_group
-                quad = ad.sum_all(ad.hadamard(p, p))
-                cross = ad.sum_all(ad.hadamard(p, ad.constant(freq)))
-                per_obs = ad.add_scalar(ad.add(quad, ad.scale(cross, -2.0)), 1.0)
-                term = ad.scale(per_obs, n_group / len(key))
-            else:
-                raise ValueError(f"unknown loss kind '{kind}'")
-            total = term if total is None else ad.add(total, term)
-        return ad.scale(total, 1.0 / len(observations))
-
-    def predict(self, obs) -> tuple[np.ndarray, np.ndarray, int]:
-        """(slot probabilities, real slot indices, chosen slot)."""
-        probs = self.probabilities(obs.choice_set.items)
-        slots = np.array(sorted(obs.choice_set.items))
-        return probs, slots, obs.chosen
-
     def chosen_slot(self, obs) -> int:
         return obs.chosen
+
+    def utilities_and_mask(self, nodes: dict[str, Node], obs) -> tuple[Node, np.ndarray]:
+        """Tape utilities of the offered set and its mask, both universe-length."""
+        ids = obs.choice_set.items
+        mask = np.zeros(self.universe, dtype=bool)
+        mask[list(ids)] = True
+        return self.utilities_node(nodes, ids), mask
+
+    def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
+        return training.observations_loss(self, nodes, observations, kind)
+
+    def predict(self, obs) -> tuple[np.ndarray, np.ndarray]:
+        """(universe-length probabilities, offered item ids ascending)."""
+        probs = self.probabilities(obs.choice_set.items)
+        return probs, np.array(sorted(obs.choice_set.items))
 
     def snapshot(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.trainables()]

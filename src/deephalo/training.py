@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("patience must lie in [0, max_epochs]")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be non-negative (0 = full batch)")
 
     def rate_for_epoch(self, epoch: int) -> float:
         if self.lr_schedule is None:
@@ -146,9 +148,83 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= factor
 
 
-def _batch_gradients(model, batch, loss_kind):
+class Groups:
+    """A split grouped once by ``model.group_key``.
+
+    ``representatives`` holds the first observation of each distinct key,
+    in sorted-key order; a group id is a position in that list.  For
+    observation ``i``, ``group[i]`` is its group id and ``row[i]`` is
+    ``model.chosen_slot``: its row in the model's utility column, the item
+    id for the featureless model and the slot for the featured one.
+    """
+
+    def __init__(self, model, observations):
+        keys = [model.group_key(obs) for obs in observations]
+        first: dict = {}
+        for key, obs in zip(keys, observations):
+            first.setdefault(key, obs)
+        ordered = sorted(first)
+        ids = {key: g for g, key in enumerate(ordered)}
+        self.representatives = [first[key] for key in ordered]
+        self.group = np.array([ids[key] for key in keys])
+        self.row = np.array([model.chosen_slot(obs) for obs in observations])
+        self.rows = int(self.row.max()) + 1
+
+    def __len__(self) -> int:
+        return self.row.size
+
+    def counts(self, index=slice(None)) -> np.ndarray:
+        """Groups x rows table counting the observations at ``index``."""
+        cells = len(self.representatives) * self.rows
+        flat = self.group[index] * self.rows + self.row[index]
+        return np.bincount(flat, minlength=cells).reshape(-1, self.rows)
+
+
+def _padded(counts: np.ndarray, size: int) -> np.ndarray:
+    """A count-table row as floats, as long as a utility column of ``size``."""
+    out = np.zeros(size)
+    out[: min(size, counts.size)] = counts[:size]
+    return out
+
+
+def _loss_head(model, nodes, groups: Groups, table: np.ndarray, kind: str) -> ad.Node:
+    """Mean loss of the observations counted in ``table``.
+
+    One tape forward per group with a nonzero count, in group order; each
+    group's term weights its rows by their counts.
+    """
+    if kind not in LOSSES:
+        raise ValueError(f"unknown loss kind '{kind}'")
+    total = None
+    for g in np.flatnonzero(table.sum(axis=1)):
+        u, mask = model.utilities_and_mask(nodes, groups.representatives[g])
+        counts = _padded(table[g], mask.size)
+        if kind == "nll":
+            logp = ad.masked_log_softmax(u, mask)
+            term = ad.scale(ad.sum_all(ad.hadamard(logp, ad.constant(counts))), -1.0)
+        else:
+            p = ad.masked_softmax(u, mask)
+            n_group = counts.sum()
+            freq = counts / n_group
+            quad = ad.sum_all(ad.hadamard(p, p))
+            cross = ad.sum_all(ad.hadamard(p, ad.constant(freq)))
+            per_obs = ad.add_scalar(ad.add(quad, ad.scale(cross, -2.0)), 1.0)
+            term = ad.scale(per_obs, n_group / int(mask.sum()))
+        total = term if total is None else ad.add(total, term)
+    return ad.scale(total, 1.0 / int(table.sum()))
+
+
+def observations_loss(model, nodes, observations, kind: str) -> ad.Node:
+    """:func:`_loss_head` over a list of observations, grouped here."""
+    if not observations:
+        raise ValueError("empty batch")
+    groups = Groups(model, observations)
+    return _loss_head(model, nodes, groups, groups.counts(), kind)
+
+
+def _batch_gradients(model, groups, table, loss_kind):
     nodes = model.make_param_nodes(trainable=True)
-    loss = model.loss_node(nodes, batch, loss_kind)
+    loss = _loss_head(model, nodes, groups, table, loss_kind)
     ad.backward(loss)
     grads = {name: nodes[name].grad for name, _ in model.trainables()}
     return float(loss.value[0, 0]), grads
@@ -165,9 +241,10 @@ def train(model, dataset, config: TrainConfig):
     train_obs = dataset.observations_for("train")
     if not train_obs:
         raise ValueError("empty training split")
-    val_obs = None
+    train_groups = Groups(model, train_obs)
+    val_groups = train_groups
     if dataset.splits is not None and dataset.splits.get("val"):
-        val_obs = dataset.observations_for("val")
+        val_groups = Groups(model, dataset.observations_for("val"))
 
     rng = np.random.default_rng(config.seed)
     state = AdamState(model.trainables())
@@ -185,8 +262,10 @@ def train(model, dataset, config: TrainConfig):
         step = n if config.batch_size == 0 else config.batch_size
         epoch_losses = []
         for lo in range(0, n, step):
-            batch = [train_obs[i] for i in order[lo : lo + step]]
-            loss_value, grads = _batch_gradients(model, batch, config.loss)
+            batch = order[lo : lo + step]
+            loss_value, grads = _batch_gradients(
+                model, train_groups, train_groups.counts(batch), config.loss
+            )
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {lo // step}"
@@ -198,7 +277,7 @@ def train(model, dataset, config: TrainConfig):
             epoch_losses.append(loss_value * len(batch))
         train_loss = math.fsum(epoch_losses) / n
 
-        val_nll = _mean_nll(model, val_obs if val_obs is not None else train_obs)
+        val_nll = _metrics(model, val_groups).nll
         wall_ms = (time.perf_counter() - start) * 1000.0
         history.records.append(EpochRecord(epoch, train_loss, val_nll, lr, wall_ms))
 
@@ -220,24 +299,31 @@ def train(model, dataset, config: TrainConfig):
     return model, history
 
 
-def _grouped_predictions(model, observations):
-    """One prediction per distinct offered configuration."""
-    groups: dict = {}
-    for obs in observations:
-        key = model.group_key(obs)
-        if key not in groups:
-            probs, slots, _ = model.predict(obs)
-            groups[key] = [probs, slots, []]
-        groups[key][2].append(obs)
-    return groups
+def _metrics(model, groups: Groups) -> Metrics:
+    """Metrics from one prediction per group and the groups' count table.
 
-
-def _mean_nll(model, observations) -> float:
-    total = []
-    for probs, slots, members in _grouped_predictions(model, observations).values():
-        for obs in members:
-            total.append(nll_loss(probs, model.chosen_slot(obs)))
-    return math.fsum(total) / len(observations)
+    Each distinct (group, row) NLL term is computed once and repeated by
+    its count, so the fsum sees the same summands as a per-observation sum.
+    """
+    nll_terms = []
+    hits = 0
+    sq_err = []
+    slot_count = 0
+    for rep, row_counts in zip(groups.representatives, groups.counts()):
+        probs, slots = model.predict(rep)
+        counts = _padded(row_counts, probs.size)
+        for row in np.flatnonzero(counts):
+            nll_terms += [nll_loss(probs, int(row))] * int(counts[row])
+        hits += int(counts[np.argmax(probs)])
+        diff = probs[slots] - counts[slots] / counts.sum()
+        sq_err.extend((diff * diff).tolist())
+        slot_count += slots.size
+    n = len(groups)
+    return Metrics(
+        nll=math.fsum(nll_terms) / n,
+        accuracy=hits / n,
+        rmse=math.sqrt(math.fsum(sq_err) / slot_count),
+    )
 
 
 def evaluate(model, dataset, split: str | None = None) -> Metrics:
@@ -245,29 +331,7 @@ def evaluate(model, dataset, split: str | None = None) -> Metrics:
     observations = dataset.observations_for(split)
     if not observations:
         raise ValueError("cannot evaluate an empty dataset")
-    groups = _grouped_predictions(model, observations)
-    nll_terms = []
-    hits = 0
-    sq_err = []
-    slot_count = 0
-    for probs, slots, members in groups.values():
-        predicted_slot = int(np.argmax(probs))
-        freq = np.zeros(slots.size)
-        slot_pos = {int(s): i for i, s in enumerate(slots)}
-        for obs in members:
-            chosen_slot = model.chosen_slot(obs)
-            nll_terms.append(nll_loss(probs, chosen_slot))
-            hits += int(predicted_slot == chosen_slot)
-            freq[slot_pos[chosen_slot]] += 1.0
-        freq /= len(members)
-        diff = probs[slots] - freq
-        sq_err.extend((diff * diff).tolist())
-        slot_count += slots.size
-    return Metrics(
-        nll=math.fsum(nll_terms) / len(observations),
-        accuracy=hits / len(observations),
-        rmse=math.sqrt(math.fsum(sq_err) / slot_count),
-    )
+    return _metrics(model, Groups(model, observations))
 
 
 def rmse_vs_frequencies(model, table) -> float:

@@ -123,6 +123,15 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_negative_batch_fails_with_error_manifest(self, tmp_path, beverage_csv):
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv),
+                   "--batch", "-4", "--epochs", "3", "-o", str(tmp_path / "m.json"))
+        assert code == 1
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "batch_size" in manifest["error"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_config_file_with_cli_override(self, tmp_path, beverage_csv):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"model": "mnl", "epochs": 3, "lr": 0.1}))

@@ -272,3 +272,41 @@ def test_serialization_round_trip(tmp_path):
         m.forward(x, mask).values, loaded.forward(x, mask).values
     )
     assert loaded.sigma == "quadratic" and loaded.aggregation == "mean"
+
+
+class TestCatalogIds:
+    """Catalog ids are checked like featureless ids, naming the bad id."""
+
+    @pytest.fixture
+    def catalog(self):
+        model = FeaturedModel(3, 4, 2, 1, seed=8)
+        return CatalogSetModel(model, np.random.default_rng(9).normal(size=(3, 4)))
+
+    def test_negative_id_rejected(self, catalog):
+        with pytest.raises(ValueError, match="id -1 outside"):
+            catalog.set_utilities((-1, 0))
+
+    def test_out_of_catalog_id_rejected(self, catalog):
+        with pytest.raises(ValueError, match="id 4 outside"):
+            catalog.set_utilities((4,))
+
+    def test_duplicate_id_rejected(self, catalog):
+        with pytest.raises(ValueError, match=r"duplicate ids in \(0, 0\)"):
+            catalog.set_utilities((0, 0))
+
+    def test_empty_set_rejected(self, catalog):
+        with pytest.raises(ValueError, match="empty"):
+            catalog.set_utilities(())
+
+    def test_relative_halo_rejects_negative_id(self, catalog):
+        from deephalo.halo import relative_halo
+
+        with pytest.raises(ValueError, match="id -1 outside"):
+            relative_halo(catalog, -1, 0, ())
+
+    def test_valid_ids_unchanged(self, catalog):
+        u = catalog.set_utilities((3, 0))
+        x = np.zeros((3, 4))
+        x[:, :2] = catalog.item_features[:, [3, 0]]
+        expected = catalog.model.forward(x, np.arange(4) < 2).values[:2]
+        assert np.array_equal(u, expected)

@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from deephalo import autodiff as ad
 from deephalo import data as dat
+from deephalo.featured import FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.training import (
     AdamState,
+    EpochRecord,
+    History,
     Metrics,
     TrainConfig,
     TrainingDivergedError,
@@ -280,3 +284,165 @@ class TestInvariants:
         ]
         oracle_nll = math.fsum(oracle_terms) / len(test_obs)
         assert abs(model_nll - oracle_nll) <= 0.01
+
+
+class TestConfig:
+    def test_negative_batch_size_rejected(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=-4)
+
+
+# -- grouping contract ----------------------------------------------------------
+# Training and evaluation group each split once and weight one forward per
+# distinct configuration by its counts.  The references below are the
+# per-observation definitions; the grouped results must equal them exactly.
+
+
+def _featureless_reference(model, obs):
+    """(probabilities, real rows, chosen row, configuration) of one observation."""
+    items = obs.choice_set.items
+    return model.probabilities(items), list(sorted(items)), obs.chosen, tuple(sorted(items))
+
+
+def _featured_reference(model, obs):
+    mask = obs.choice_set.mask
+    key = (obs.features.tobytes(), mask.tobytes())
+    return model.probabilities(obs.features, mask), list(np.flatnonzero(mask)), obs.chosen_slot, key
+
+
+def _reference_metrics(model, observations, reference) -> Metrics:
+    """Per-observation NLL and top-1 hits; RMSE pooled over (configuration, row).
+
+    One fsum term per observation: a count times a term would round
+    differently, and the test datasets are large enough to show it.
+    """
+    nll, hits = [], 0
+    predicted, chosen_rows = {}, {}
+    for obs in observations:
+        probs, rows, chosen, key = reference(model, obs)
+        nll.append(nll_loss(probs, chosen))
+        hits += int(np.argmax(probs) == chosen)
+        predicted[key] = (probs, rows)
+        chosen_rows.setdefault(key, []).append(chosen)
+    sq = []
+    for key, (probs, rows) in predicted.items():
+        chosen = chosen_rows[key]
+        freq = np.array([chosen.count(r) for r in rows]) / len(chosen)
+        diff = probs[rows] - freq
+        sq.extend((diff * diff).tolist())
+    n = len(observations)
+    return Metrics(math.fsum(nll) / n, hits / n, math.sqrt(math.fsum(sq) / len(sq)))
+
+
+def _reference_train(model, dataset, config, reference) -> History:
+    """``train`` without patience, one observation list per batch through ``loss_node``."""
+    observations = dataset.observations_for("train")
+    n = len(observations)
+    rng = np.random.default_rng(config.seed)
+    state = AdamState(model.trainables())
+    history = History()
+    t = 0
+    for epoch in range(1, config.max_epochs + 1):
+        lr = config.rate_for_epoch(epoch)
+        order = rng.permutation(n)
+        losses = []
+        for lo in range(0, n, config.batch_size):
+            batch = [observations[i] for i in order[lo : lo + config.batch_size]]
+            nodes = model.make_param_nodes(trainable=True)
+            loss = model.loss_node(nodes, batch, config.loss)
+            ad.backward(loss)
+            t += 1
+            grads = {name: nodes[name].grad for name, _ in model.trainables()}
+            adam_step(model.trainables(), grads, state, t, lr)
+            losses.append(float(loss.value[0, 0]) * len(batch))
+        val_nll = _reference_metrics(model, observations, reference).nll
+        history.records.append(EpochRecord(epoch, math.fsum(losses) / n, val_nll, lr, 0.0))
+    return history
+
+
+def _featureless_orders_dataset():
+    """One set offered in several item orders, beside two other sets."""
+    rng = np.random.default_rng(0)
+    orders = [(2, 0, 1), (0, 1, 2), (1, 2, 0), (0, 3), (3, 1, 2)]
+    observations = []
+    for _ in range(40):
+        items = orders[int(rng.integers(len(orders)))]
+        observations.append(dat.Observation(dat.ChoiceSet(items, 3), items[int(rng.integers(len(items)))]))
+    return dat.Dataset(observations, universe=4)
+
+
+def _featured_repeats_dataset():
+    """Repeated observations: equal features and mask, different choices."""
+    rng = np.random.default_rng(5)
+    configs = []
+    for real in (2, 3, 3):
+        x = np.zeros((3, 3))
+        x[:, :real] = rng.normal(size=(3, real))
+        configs.append((tuple(range(real)), x))
+    observations = []
+    for i in range(40):
+        items, x = configs[i % 3]
+        chosen = items[int(rng.integers(len(items)))]
+        observations.append(dat.Observation(dat.ChoiceSet(items, 3), chosen, x.copy()))
+    return dat.Dataset(observations, universe=3, feature_dim=3)
+
+
+class TestGroupingContract:
+    def test_featureless_evaluate_equals_per_observation_definition(self):
+        ds = _featureless_orders_dataset()
+        assert {o.choice_set.items for o in ds.observations} >= {(2, 0, 1), (0, 1, 2)}
+        model = FeaturelessModel.deephalo(4, width=6, depth=2, seed=3)
+        model.layers[0] *= 20.0  # context effects well away from zero
+        got = evaluate(model, ds)
+        assert got == _reference_metrics(model, ds.observations, _featureless_reference)
+
+    def test_featured_evaluate_equals_per_observation_definition(self):
+        ds = _featured_repeats_dataset()
+        model = FeaturedModel(3, 4, 2, 2, seed=5)
+        model.params["readout"] *= 50.0
+        got = evaluate(model, ds)
+        assert got == _reference_metrics(model, ds.observations, _featured_reference)
+
+    @pytest.mark.parametrize("loss", ["nll", "mse_onehot"])
+    def test_featureless_train_equals_per_batch_loop(self, loss):
+        ds = dat.sample_choices(dat.beverage_fixture(), 5, seed=4)  # 55 observations
+        cfg = TrainConfig(loss=loss, learning_rate=0.05, batch_size=16, max_epochs=3, seed=6)
+        assert len(ds) % cfg.batch_size != 0
+        model, history = train(FeaturelessModel.deephalo(4, width=6, depth=2, seed=2), ds, cfg)
+        ref_model = FeaturelessModel.deephalo(4, width=6, depth=2, seed=2)
+        ref_history = _reference_train(ref_model, ds, cfg, _featureless_reference)
+        assert history.digest() == ref_history.digest()
+        for (_, got), (_, want) in zip(model.trainables(), ref_model.trainables()):
+            assert np.array_equal(got, want)
+
+    def test_featured_train_equals_per_batch_loop(self):
+        ds = _featured_repeats_dataset()
+        cfg = TrainConfig(loss="nll", learning_rate=0.02, batch_size=6, max_epochs=2, seed=1)
+        assert len(ds) % cfg.batch_size != 0
+        model, history = train(FeaturedModel(3, 4, 2, 2, seed=5), ds, cfg)
+        ref_model = FeaturedModel(3, 4, 2, 2, seed=5)
+        ref_history = _reference_train(ref_model, ds, cfg, _featured_reference)
+        assert history.digest() == ref_history.digest()
+        for (_, got), (_, want) in zip(model.trainables(), ref_model.trainables()):
+            assert np.array_equal(got, want)
+
+
+class TestLocatedErrors:
+    def test_empty_batch(self):
+        m = FeaturelessModel.mnl(2)
+        with pytest.raises(ValueError, match="empty batch"):
+            m.loss_node(m.make_param_nodes(), [], "nll")
+
+    def test_unknown_loss_kind(self):
+        m = FeaturelessModel.mnl(2)
+        obs = [dat.Observation(dat.ChoiceSet((0, 1), 2), 0)]
+        with pytest.raises(ValueError, match="unknown loss kind 'hinge'"):
+            m.loss_node(m.make_param_nodes(), obs, "hinge")
+
+    def test_featured_model_needs_features(self):
+        m = FeaturedModel(2, 3, 1, 1)
+        ds = dat.Dataset([dat.Observation(dat.ChoiceSet((0, 1), 2), 0)], universe=2)
+        with pytest.raises(ValueError, match="requires observations with features"):
+            m.loss_node(m.make_param_nodes(), ds.observations, "nll")
+        with pytest.raises(ValueError, match="requires observations with features"):
+            evaluate(m, ds)
