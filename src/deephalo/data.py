@@ -10,9 +10,9 @@ matrix whose dummy columns are exactly zero.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -135,16 +135,37 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _data_rows(path) -> list[tuple[int, list[str]]]:
-    """Rows of a comma CSV with '#' comment lines skipped, 1-based numbering."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def csv_rows(fh, comments: list[str] | None = None):
+    """(line number, row) for each row of a comma CSV, 1-based numbering.
+
+    Blank lines and '#' comment lines are skipped; the stripped comment
+    lines are appended to ``comments`` when it is given.  One reader
+    parses the whole file, fed one line at a time; a row must end on the
+    line it starts on, so that every message can name its line.
+    """
+    pending: deque[int] = deque()  # numbers of the lines fed but not yet parsed
+
+    def lines():
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            rows.append((lineno, next(csv.reader(io.StringIO(line)))))
-    return rows
+            if stripped.startswith("#"):
+                if comments is not None:
+                    comments.append(stripped)
+            elif stripped:
+                pending.append(lineno)
+                yield line
+
+    for row in csv.reader(lines()):
+        lineno = pending.popleft()
+        if pending:
+            raise DataFormatError(f"line {lineno}: quoted field runs past the end of the line")
+        yield lineno, row
+
+
+def _data_rows(path) -> list[tuple[int, list[str]]]:
+    """Rows of a comma CSV with '#' comment lines skipped, 1-based numbering."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv_rows(fh))
 
 
 def _parse_id_list(text: str, lineno: int) -> tuple[int, ...]:

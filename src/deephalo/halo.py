@@ -16,20 +16,24 @@ softmax gauge; the *relative* effect of ``T`` on an ordered pair (j, k)
 
 cancels that gauge and is what gets tabulated and rendered.
 
-Subset enumeration is exponential by design, guarded by explicit caps
-rather than sampling.
+All effects come from one routine: a forward pass per distinct offered
+set, then the fast Moebius transform (Kennes & Smets, "Computational
+aspects of the Moebius transformation", UAI 1990), which turns the
+alternating sums for every source set at once into one in-place
+butterfly step per item id.  Subset enumeration is exponential by design,
+guarded by explicit caps rather than sampling.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Protocol
 
 import numpy as np
+
+from .data import csv_rows
 
 MARGINAL_CAP = 12
 UNIVERSE_GUARD = 10
@@ -45,23 +49,6 @@ class SetUtilityModel(Protocol):
     def set_utilities(self, ids) -> np.ndarray: ...
 
 
-class _UtilityCache:
-    """One forward per distinct offered set, keyed by frozenset."""
-
-    def __init__(self, model: SetUtilityModel):
-        self.model = model
-        self._seen: dict[frozenset, dict[int, float]] = {}
-
-    def utility(self, item: int, ids: tuple[int, ...]) -> float:
-        key = frozenset(ids)
-        table = self._seen.get(key)
-        if table is None:
-            values = self.model.set_utilities(ids)
-            table = {i: float(v) for i, v in zip(ids, values)}
-            self._seen[key] = table
-        return table[item]
-
-
 def _as_source(item: int, source) -> tuple[int, ...]:
     src = tuple(sorted(int(i) for i in source))
     if len(set(src)) != len(src):
@@ -74,34 +61,79 @@ def _as_source(item: int, source) -> tuple[int, ...]:
 def _check_cap(size: int, cap: int, what: str) -> None:
     if size > cap:
         raise EnumerationCapError(
-            f"{what} needs 2^{size} = {2**size} forward passes, "
+            f"{what} spans 2^{size} = {2**size} subsets, "
             f"above the cap of 2^{cap}; raise the cap to proceed"
         )
 
 
-def marginal_effect(
+def _with(src: tuple[int, ...], item: int) -> tuple[int, ...]:
+    return tuple(sorted(src + (item,)))
+
+
+def _effects(
     model: SetUtilityModel,
-    item: int,
-    source,
-    cap: int = MARGINAL_CAP,
-    _cache: _UtilityCache | None = None,
+    items: tuple[int, ...],
+    ground: tuple[int, ...],
+    max_size: int,
+    partners: dict[int, set[int]] | None = None,
+) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+    """Marginal effects of the small subsets of ``ground`` on each of ``items``.
+
+    Returns ``(cols, effects)`` with ``effects[r, cols[S]]`` = effect(items[r], S)
+    for every sorted S drawn from ``ground`` without ``items[r]`` and with
+    at most ``max_size`` ids.  When ``partners`` is given, a source of the
+    full ``max_size`` is kept for item j only if it holds one of
+    ``partners[j]``.  Cells outside that hold NaN.
+
+    One forward runs per distinct offered set S + {j}.  The alternating
+    sums are then one fast Moebius transform: for each ground id b in
+    ascending order, every subset holding b loses the value of the same
+    subset without b.  A cell reads only subsets of its own source, so a
+    valid cell never reads a NaN one, and its value comes out of the same
+    operations in the same order whatever else the array holds.
+    """
+    subsets = [s for size in range(max_size + 1) for s in combinations(ground, size)]
+    cols = {s: c for c, s in enumerate(subsets)}
+    effects = np.full((len(items), len(subsets)), np.nan)
+    forwards: dict[tuple[int, ...], np.ndarray] = {}
+    for c, src in enumerate(subsets):
+        full = len(src) == max_size and partners is not None
+        for r, j in enumerate(items):
+            if j in src or (full and partners[j].isdisjoint(src)):
+                continue
+            offered = _with(src, j)
+            values = forwards.get(offered)
+            if values is None:
+                values = forwards[offered] = model.set_utilities(offered)
+            effects[r, c] = values[offered.index(j)]
+    for b in ground:
+        has = [c for c, src in enumerate(subsets) if b in src]
+        without = [cols[tuple(i for i in subsets[c] if i != b)] for c in has]
+        effects[:, has] -= effects[:, without]
+    return cols, effects
+
+
+def _alphas(effects, cols, row_j, row_k, j, k, sources) -> np.ndarray:
+    """alpha(j, k, T) for each T in ``sources``, from the rows of j and k."""
+    t = [cols[src] for src in sources]
+    e_j, e_k = effects[row_j], effects[row_k]
+    return (e_j[t] + e_j[[cols[_with(s, k)] for s in sources]]) - (
+        e_k[t] + e_k[[cols[_with(s, j)] for s in sources]]
+    )
+
+
+def marginal_effect(
+    model: SetUtilityModel, item: int, source, cap: int = MARGINAL_CAP
 ) -> float:
     """Marginal utility contribution of ``source`` to ``item``.
 
-    Exact alternating sum over all subsets of the source set; each subset
-    costs one model forward (shared through a cache when given).
+    Exact inversion over all subsets of the source set, one model forward
+    per subset.  Bit-identical to the same entry of any table.
     """
     src = _as_source(item, source)
     _check_cap(len(src), cap, f"marginal effect of {src} on item {item}")
-    cache = _cache if _cache is not None else _UtilityCache(model)
-    t = len(src)
-    terms = []
-    for bits in range(2**t):
-        subset = tuple(src[i] for i in range(t) if bits >> i & 1)
-        sign = -1.0 if (t - len(subset)) % 2 else 1.0
-        offered = tuple(sorted(subset + (item,)))
-        terms.append(sign * cache.utility(item, offered))
-    return math.fsum(terms)
+    cols, effects = _effects(model, (item,), src, len(src))
+    return float(effects[0, cols[src]])
 
 
 def reconstruct_utility(
@@ -118,21 +150,12 @@ def reconstruct_utility(
         raise ValueError(f"item {item} is not offered in {ids}")
     others = tuple(i for i in ids if i != item)
     _check_cap(len(ids), cap, f"utility reconstruction over {ids}")
-    cache = _UtilityCache(model)
-    parts = []
-    for size in range(len(others) + 1):
-        for src in combinations(others, size):
-            parts.append(marginal_effect(model, item, src, cap=cap, _cache=cache))
-    return math.fsum(parts)
+    _, effects = _effects(model, (item,), others, len(others))
+    return math.fsum(effects[0].tolist())
 
 
 def relative_halo(
-    model: SetUtilityModel,
-    j: int,
-    k: int,
-    source,
-    cap: int = MARGINAL_CAP,
-    _cache: _UtilityCache | None = None,
+    model: SetUtilityModel, j: int, k: int, source, cap: int = MARGINAL_CAP
 ) -> float:
     """Gauge-free effect of ``source`` on the utility gap between j and k.
 
@@ -144,20 +167,9 @@ def relative_halo(
     src = _as_source(j, source)
     if k in src:
         raise ValueError(f"item {k} cannot appear in the source set {src}")
-    cache = _cache if _cache is not None else _UtilityCache(model)
-    j_side = math.fsum(
-        (
-            marginal_effect(model, j, src, cap=cap, _cache=cache),
-            marginal_effect(model, j, src + (k,), cap=cap, _cache=cache),
-        )
-    )
-    k_side = math.fsum(
-        (
-            marginal_effect(model, k, src, cap=cap, _cache=cache),
-            marginal_effect(model, k, src + (j,), cap=cap, _cache=cache),
-        )
-    )
-    return j_side - k_side
+    _check_cap(len(src) + 1, cap, f"relative effect of {src} on ({j}, {k})")
+    cols, effects = _effects(model, (j, k), tuple(sorted(src + (j, k))), len(src) + 1)
+    return float(_alphas(effects, cols, 0, 1, j, k, [src])[0])
 
 
 def identifiability_count(n: int) -> int:
@@ -173,6 +185,11 @@ def identifiability_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------
+
+
+def _check_order(max_order: int) -> None:
+    if max_order < 0:
+        raise ValueError(f"max_order must be at least 0, got {max_order}")
 
 
 def _sources_for(universe: int, exclude: tuple[int, ...], max_order: int):
@@ -215,13 +232,16 @@ class RelativeHaloTable:
 def full_context_table(
     model: SetUtilityModel, max_order: int, cap: int = MARGINAL_CAP
 ) -> ContextEffectTable:
-    cache = _UtilityCache(model)
-    table = ContextEffectTable(model.universe, max_order)
-    for item in range(model.universe):
-        for src in _sources_for(model.universe, (item,), max_order):
-            table.entries[(item, src)] = marginal_effect(
-                model, item, src, cap=cap, _cache=cache
-            )
+    _check_order(max_order)
+    n = model.universe
+    largest = min(max_order, n - 1)
+    _check_cap(largest, cap, f"a source set of {largest} items")
+    items = tuple(range(n))
+    cols, effects = _effects(model, items, items, largest)
+    table = ContextEffectTable(n, max_order)
+    for item in items:
+        for src in _sources_for(n, (item,), max_order):
+            table.entries[(item, src)] = float(effects[item, cols[src]])
     return table
 
 
@@ -234,24 +254,33 @@ def full_relative_table(
     cap: int = MARGINAL_CAP,
 ) -> RelativeHaloTable:
     """Relative effects for every pair and every source up to max_order."""
+    _check_order(max_order)
     n = model.universe
     if n > guard and not force:
-        cost = math.comb(n, 2) * 2 ** min(max_order, n - 2)
+        # One forward per offered set of at most max_order + 2 items.
+        forwards = sum(math.comb(n, s) for s in range(1, min(max_order + 2, n) + 1))
         raise EnumerationCapError(
-            f"universe of {n} items needs about {cost} inversions "
+            f"universe of {n} items needs {forwards} forward passes "
             f"(guard is {guard} items); use the force option to run anyway"
         )
     if pairs is None:
         pairs = list(combinations(range(n), 2))
-    cache = _UtilityCache(model)
-    table = RelativeHaloTable(n, max_order)
+    partners: dict[int, set[int]] = {}
     for j, k in pairs:
         if not (0 <= j < k < n):
             raise ValueError(f"pair ({j}, {k}) must satisfy 0 <= j < k < universe")
-        for src in _sources_for(n, (j, k), max_order):
-            table.entries[(j, k, src)] = relative_halo(
-                model, j, k, src, cap=cap, _cache=cache
-            )
+        partners.setdefault(j, set()).add(k)
+        partners.setdefault(k, set()).add(j)
+    largest = min(max_order, n - 2) + 1
+    _check_cap(largest, cap, f"a source set of {largest} items")
+    items = tuple(sorted(partners))
+    cols, effects = _effects(model, items, tuple(range(n)), largest, partners)
+    row = {item: r for r, item in enumerate(items)}
+    table = RelativeHaloTable(n, max_order)
+    for j, k in pairs:
+        sources = list(_sources_for(n, (j, k), max_order))
+        alphas = _alphas(effects, cols, row[j], row[k], j, k, sources)
+        table.entries.update(zip(((j, k, src) for src in sources), alphas.tolist()))
     return table
 
 
@@ -264,38 +293,30 @@ def write_halo_csv(table: RelativeHaloTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# universe={table.universe} max_order={table.max_order}\n")
         fh.write("pair_j,pair_k,source_set,alpha\n")
-        for j, k in table.pairs():
-            for src in sorted(
-                (t for jj, kk, t in table.entries if (jj, kk) == (j, k)),
-                key=lambda t: (len(t), t),
-            ):
-                src_txt = ";".join(str(i) for i in src)
-                fh.write(f"{j},{k},{src_txt},{table.entries[(j, k, src)]!r}\n")
+        for j, k, src in sorted(table.entries, key=lambda e: (e[0], e[1], len(e[2]), e[2])):
+            src_txt = ";".join(str(i) for i in src)
+            fh.write(f"{j},{k},{src_txt},{table.entries[(j, k, src)]!r}\n")
 
 
 def read_halo_csv(path) -> RelativeHaloTable:
     universe = None
     max_order = None
     entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
+    comments: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                for token in stripped.lstrip("#").split():
-                    key, _, value = token.partition("=")
-                    if key == "universe":
-                        universe = int(value)
-                    elif key == "max_order":
-                        max_order = int(value)
-                continue
-            row = next(csv.reader(io.StringIO(line)))
+        for _, row in csv_rows(fh, comments):
             if row[0] == "pair_j":
                 continue
             j, k = int(row[0]), int(row[1])
             src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
             entries[(j, k, src)] = float(row[3])
+    for comment in comments:
+        for token in comment.lstrip("#").split():
+            key, _, value = token.partition("=")
+            if key == "universe":
+                universe = int(value)
+            elif key == "max_order":
+                max_order = int(value)
     if universe is None:
         universe = 1 + max(max(j, k) for j, k, _ in entries)
     if max_order is None:

@@ -214,6 +214,12 @@ class TestHalo:
                    "--svg", str(svg_rendered)) == 0
         assert svg_direct.read_bytes() == svg_rendered.read_bytes()
 
+    def test_negative_order_fails_without_table(self, tmp_path, trained_model):
+        out = tmp_path / "alpha.csv"
+        assert run("halo", "--model-file", str(trained_model),
+                   "--max-order", "-1", "-o", str(out)) == 1
+        assert not out.exists()
+
     def test_missing_output_usage_error(self, trained_model):
         assert run("halo", "--model-file", str(trained_model)) == 2
 

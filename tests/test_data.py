@@ -43,6 +43,20 @@ class TestFeaturelessCsv:
         with pytest.raises(dat.DataFormatError, match="line 3"):
             dat.load_featureless_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# c\nset,choice\n\n# mid\n0;1,5\n", 5),
+            ('set,choice\n0;1,0\n"0;1,1\n# note\n\n0;1;2,2\n1;2,1\n', 3),
+        ],
+        ids=["after-comments-and-blanks", "stray-quote"],
+    )
+    def test_error_line_counts_every_line(self, tmp_path, text, line):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(dat.DataFormatError, match=f"line {line}:"):
+            dat.load_featureless_csv(p)
+
     def test_comments_ignored(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("# generated for a test\nset,choice\n# mid comment\n0;1,1\n")

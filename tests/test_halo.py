@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deephalo import data as dat
+from deephalo.featured import CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import (
     EnumerationCapError,
@@ -23,6 +24,7 @@ from deephalo.halo import (
     write_halo_csv,
 )
 from deephalo.training import TrainConfig, train
+from test_featureless import invert_effects
 
 
 class PlantedModel:
@@ -224,6 +226,136 @@ class TestTables:
         assert table.get(1, 0, ()) == -table.get(0, 1, ())
 
 
+class CountingModel:
+    """Wraps a model and records every offered set it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.universe = inner.universe
+        self.calls = []
+
+    def set_utilities(self, ids):
+        self.calls.append(ids)
+        return self.inner.set_utilities(ids)
+
+
+class PairwiseModel:
+    """u_j(S) = base_j + sum of push[i, j] over the other items i of S:
+    effects of order 0 and 1 only, cheap at any universe size."""
+
+    def __init__(self, universe, seed):
+        rng = np.random.default_rng(seed)
+        self.universe = universe
+        self.base = rng.normal(size=universe)
+        self.push = rng.normal(size=(universe, universe))
+
+    def set_utilities(self, ids):
+        return np.array([self.base[j] + sum(self.push[i, j] for i in ids if i != j) for j in ids])
+
+
+def _trained_model():
+    ds = dat.sample_choices(dat.beverage_fixture(), 200, seed=4)
+    m = FeaturelessModel.deephalo(4, width=5, depth=2, seed=6)
+    m, _ = train(m, ds, TrainConfig(loss="nll", learning_rate=0.05, max_epochs=30, seed=2))
+    return m
+
+
+def _catalog_model():
+    return CatalogSetModel(
+        FeaturedModel(3, 4, 2, 1, seed=8), np.random.default_rng(9).normal(size=(3, 5))
+    )
+
+
+class TestOneInversionPath:
+    """Lone extractors and tables read the same transform: every entry is
+    bit-identical, and all agree with the brute-force oracle."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: PlantedModel(6, seed=20), _trained_model], ids=["planted", "trained"]
+    )
+    def test_lone_calls_equal_table_entries(self, make):
+        m = make()
+        n = m.universe
+        context = full_context_table(m, max_order=n - 1)
+        assert len(context.entries) == n * 2 ** (n - 1)
+        for (j, src), value in context.entries.items():
+            assert marginal_effect(m, j, src) == value
+        relative = full_relative_table(m, max_order=n - 2)
+        assert len(relative.entries) == math.comb(n, 2) * 2 ** (n - 2)
+        for (j, k, src), value in relative.entries.items():
+            assert relative_halo(m, j, k, src) == value
+            assert relative_halo(m, k, j, src) == -value
+
+    @pytest.mark.parametrize(
+        "make", [lambda: PlantedModel(5, seed=21), _catalog_model], ids=["planted", "catalog"]
+    )
+    def test_tables_match_brute_force_oracle(self, make):
+        m = make()
+        n = m.universe
+        oracle = {j: invert_effects(m, j) for j in range(n)}
+        context = full_context_table(m, max_order=n - 1)
+        assert context.entries.keys() == {(j, s) for j in range(n) for s in oracle[j]}
+        for (j, src), value in context.entries.items():
+            assert abs(value - oracle[j][src]) <= 1e-9
+        relative = full_relative_table(m, max_order=n - 2)
+        for (j, k, src), value in relative.entries.items():
+            expected = (oracle[j][src] + oracle[j][tuple(sorted(src + (k,)))]) - (
+                oracle[k][src] + oracle[k][tuple(sorted(src + (j,)))]
+            )
+            assert abs(value - expected) <= 1e-9
+
+
+class TestForwardCount:
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 4, 7])
+    def test_each_offered_set_once(self, max_order):
+        m = CountingModel(PlantedModel(6, seed=22))
+        full_relative_table(m, max_order)
+        assert len(m.calls) == sum(math.comb(6, s) for s in range(1, min(max_order + 2, 6) + 1))
+        assert len(set(m.calls)) == len(m.calls)
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 4])
+    def test_pair_filter_forwards_only_needed_sets(self, max_order):
+        m = CountingModel(PlantedModel(6, seed=23))
+        full_relative_table(m, max_order, pairs=[(1, 4)])
+        assert all(1 in ids or 4 in ids for ids in m.calls)
+        assert len(set(m.calls)) == len(m.calls)
+        # T + {1}, T + {4} and T + {1, 4} for every source T of the other four.
+        assert len(m.calls) == 3 * sum(math.comb(4, s) for s in range(min(max_order, 4) + 1))
+
+    def test_forced_large_universe_scales_with_order(self):
+        m = CountingModel(PairwiseModel(16, seed=24))
+        table = full_relative_table(m, max_order=1, force=True)
+        assert len(m.calls) == math.comb(16, 1) + math.comb(16, 2) + math.comb(16, 3)
+        assert len(table.entries) == math.comb(16, 2) * 15
+        base, push = m.inner.base, m.inner.push
+        assert table.get(3, 11, ()) == pytest.approx(
+            base[3] + push[11, 3] - base[11] - push[3, 11], abs=1e-12
+        )
+        assert table.get(3, 11, (7,)) == pytest.approx(push[7, 3] - push[7, 11], abs=1e-12)
+
+    def test_refusals_run_no_forward(self):
+        m = CountingModel(PlantedModel(4, seed=25))
+        with pytest.raises(EnumerationCapError, match=r"needs 15 forward passes \(guard is 3"):
+            full_relative_table(m, max_order=2, guard=3)
+        with pytest.raises(ValueError, match="max_order"):
+            full_relative_table(m, max_order=-1)
+        with pytest.raises(ValueError, match="max_order"):
+            full_context_table(m, max_order=-1)
+        with pytest.raises(ValueError, match="pair"):
+            full_relative_table(m, max_order=1, pairs=[(0, 1), (2, 2)])
+        with pytest.raises(EnumerationCapError):
+            full_relative_table(m, max_order=2, cap=2)
+        with pytest.raises(EnumerationCapError):
+            full_context_table(m, max_order=3, cap=2)
+        with pytest.raises(EnumerationCapError):
+            marginal_effect(m, 0, (1, 2, 3), cap=2)
+        with pytest.raises(EnumerationCapError):
+            relative_halo(m, 0, 1, (2, 3), cap=2)
+        with pytest.raises(ValueError):
+            relative_halo(m, 0, 1, (1,))
+        assert m.calls == []
+
+
 class TestExport:
     def test_csv_round_trip_identical(self, tmp_path):
         m = PlantedModel(4, seed=14)
@@ -234,6 +366,12 @@ class TestExport:
         assert loaded.universe == table.universe
         assert loaded.max_order == table.max_order
         assert loaded.entries == table.entries
+
+    def test_csv_stray_quote_reports_line(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text('# universe=3 max_order=0\npair_j,pair_k,source_set,alpha\n"0,1,,0.5\n0,2,,0.25\n')
+        with pytest.raises(dat.DataFormatError, match="line 3:"):
+            read_halo_csv(path)
 
     def test_svg_self_contained_and_deterministic(self, tmp_path):
         m = PlantedModel(3, seed=15)
