@@ -6,16 +6,20 @@ with a local vector-Jacobian rule, so a fresh tape is built per forward
 pass and discarded after :func:`backward`.
 
 Reductions that cross item slots (matrix-product contractions, masked
-column means, full sums, softmax normalizers) use exactly rounded
-summation via ``math.fsum``.  An exactly rounded sum does not depend on
-the order of its summands, which is what turns the model-level
-permutation and relabeling guarantees into literal equalities instead of
-"equal up to reassociation".
+column sums and means, full sums, softmax normalizers and their
+gradients) go through one sorted sum: the summands are sorted ascending
+and then added strictly left to right (reproducible summation in the
+sense of Demmel & Nguyen, ARITH 2013).  The result depends only on the
+multiset of summands, so it is invariant to reordering them and to
+inserting zeros, including with signed zeros, infinities and NaN.  That
+is what turns the model-level permutation and relabeling guarantees into
+literal equalities instead of "equal up to reassociation".  The sum is
+not exactly rounded: it carries the rounding error of an ordinary
+left-to-right sum, at most about k * eps * sum(|x|) over k summands.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,24 +46,32 @@ def _as_matrix(x) -> np.ndarray:
     return arr
 
 
-def _fsum(values) -> float:
-    # fsum refuses infinities and can overflow its compensation terms;
-    # fall back to plain summation so divergence surfaces as inf/nan at
-    # the loss check instead of an opaque exception mid-tape.
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return float(np.sum(np.fromiter(values, dtype=float)))
+def _sorted_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0: sort the summands ascending, add left to right.
+
+    ``np.add.reduce`` is not used because it sums pairwise when a single
+    output remains; ``accumulate`` is sequential for every shape.  A zero
+    total is returned as +0.0: the vectorised sort may hand back either
+    zero of an equal -0.0/+0.0 pair, so the sign of a zero total would
+    otherwise depend on the order of the summands.
+    """
+    s = np.sort(x, axis=0)
+    np.add.accumulate(s, axis=0, out=s)
+    return s[-1] + 0.0
 
 
-def _row_fsums(a: np.ndarray) -> list[float]:
-    if not np.isfinite(a).all():
-        return np.sum(a, axis=1).tolist()
-    return [math.fsum(row) for row in a.tolist()]
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sorted sum of each row of ``a``, as a column vector."""
+    return _sorted_sum(a.T).reshape(-1, 1)
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product whose row contractions are exactly rounded sums."""
+    """Matrix product whose contractions are sorted sums.
+
+    Each entry is the left-to-right sum of its k rounded products taken in
+    ascending order, so it is unchanged by any permutation of the
+    contraction axis, but it is not exactly rounded.
+    """
     m, k = a.shape
     kb, n = b.shape
     if k != kb:
@@ -67,10 +79,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if k == 1:
         # Outer product: one rounding per entry, nothing to reassociate.
         return a @ b
-    out = np.empty((m, n))
-    for c in range(n):
-        out[:, c] = _row_fsums(a * b[:, c])
-    return out
+    return _sorted_sum(a.T[:, :, None] * b[:, None, :])
 
 
 class Node:
@@ -196,7 +205,7 @@ def add_bias(a: Node, b: Node) -> Node:
         )
 
     def vjp(g):
-        gb = np.array(_row_fsums(g)).reshape(-1, 1) if b.requires_grad else None
+        gb = _row_sums(g) if b.requires_grad else None
         return g, gb
 
     return Node(a.value + b.value, parents=(a, b), vjp=vjp)
@@ -239,7 +248,7 @@ def transpose(a: Node) -> Node:
 
 
 def sum_all(a: Node) -> Node:
-    value = np.array([[_fsum(a.value.ravel().tolist())]])
+    value = _sorted_sum(a.value.ravel()).reshape(1, 1)
     return Node(value, parents=(a,), vjp=lambda g: (np.full_like(a.value, g[0, 0]),))
 
 
@@ -263,7 +272,7 @@ def scale_by(a: Node, s: Node) -> Node:
     def vjp(g):
         ga = sv * g if a.requires_grad else None
         gs = (
-            np.array([[_fsum((g * a.value).ravel().tolist())]])
+            _sorted_sum((g * a.value).ravel()).reshape(1, 1)
             if s.requires_grad
             else None
         )
@@ -287,7 +296,7 @@ def mean_over_columns(a: Node, mask) -> Node:
     if cols.size == 0:
         raise DegenerateSetError("mean over an all-masked column set")
     count = float(cols.size)
-    value = (np.array(_row_fsums(a.value[:, cols])) / count).reshape(-1, 1)
+    value = _row_sums(a.value[:, cols]) / count
 
     def vjp(g):
         ga = np.zeros_like(a.value)
@@ -307,7 +316,7 @@ def sum_over_columns(a: Node, mask) -> Node:
     cols = np.flatnonzero(mask)
     if cols.size == 0:
         raise DegenerateSetError("sum over an all-masked column set")
-    value = np.array(_row_fsums(a.value[:, cols])).reshape(-1, 1)
+    value = _row_sums(a.value[:, cols])
 
     def vjp(g):
         ga = np.zeros_like(a.value)
@@ -346,16 +355,10 @@ def layer_norm(a: Node, gain: Node | None = None, bias: Node | None = None) -> N
         ga = inv * (gh - mean_gh - xhat * mean_ghx) if a.requires_grad else None
         out_grads = [ga]
         if gain is not None:
-            ggain = (
-                np.array(_row_fsums(g * xhat)).reshape(-1, 1)
-                if gain.requires_grad
-                else None
-            )
+            ggain = _row_sums(g * xhat) if gain.requires_grad else None
             out_grads.append(ggain)
         if bias is not None:
-            gbias = (
-                np.array(_row_fsums(g)).reshape(-1, 1) if bias.requires_grad else None
-            )
+            gbias = _row_sums(g) if bias.requires_grad else None
             out_grads.append(gbias)
         return tuple(out_grads)
 
@@ -378,7 +381,7 @@ def _softmax_parts(u: Node, mask) -> tuple[np.ndarray, np.ndarray, float]:
     vals = u.value[mask, 0]
     mx = vals.max()
     exps = np.exp(vals - mx)
-    denom = _fsum(exps.tolist())
+    denom = _sorted_sum(exps)
     return mask, exps, denom
 
 
@@ -391,7 +394,7 @@ def masked_softmax(u: Node, mask) -> Node:
 
     def vjp(g):
         gm = g[mask, 0]
-        inner = _fsum((gm * p).tolist())
+        inner = _sorted_sum(gm * p)
         gu = np.zeros_like(u.value)
         gu[mask, 0] = p * (gm - inner)
         return (gu,)
@@ -409,7 +412,7 @@ def masked_log_softmax(u: Node, mask) -> Node:
 
     def vjp(g):
         gm = g[mask, 0]
-        total = _fsum(gm.tolist())
+        total = _sorted_sum(gm)
         gu = np.zeros_like(u.value)
         gu[mask, 0] = gm - p * total
         return (gu,)

@@ -146,6 +146,8 @@ def _cmd_gen(args) -> int:
         raise UsageError("gen requires -o/--out")
     with Manifest("gen", conf, []) as manifest:
         manifest.add_output(conf["out"])
+        if conf["n_per_set"] < 1:
+            raise UsageError(f"--n-per-set must be at least 1, got {conf['n_per_set']}")
         if conf["fixture"]:
             if conf["fixture"] != "beverage":
                 raise UsageError(f"unknown fixture '{conf['fixture']}'")
@@ -326,6 +328,13 @@ def _cmd_eval(args) -> int:
     with Manifest("eval", conf, [conf["model_file"], conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
         model = _load_model(conf["model_file"])
+        if model.kind != "featured" and conf["items"]:
+            raise UsageError("--items is only meaningful for a featured model")
+        if model.kind == "featured" and conf["truth"]:
+            raise UsageError(
+                "--truth needs a featureless model: a featured model's "
+                "probabilities depend on each observation's features"
+            )
         dataset = _load_dataset(conf)
         metrics = trn.evaluate(model, dataset, split=conf["split"])
         payload = {
@@ -358,6 +367,17 @@ HALO_DEFAULTS = {
 }
 
 
+def _parse_pair(text: str) -> tuple[int, int]:
+    """``"j,k"`` as the ordered pair (min, max) of two item ids."""
+    try:
+        j, k = (int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(
+            f"--pair must be two item ids, e.g. 1,2; got {text!r}"
+        ) from None
+    return min(j, k), max(j, k)
+
+
 def _cmd_halo(args) -> int:
     conf = _merge_config(args, HALO_DEFAULTS)
     if conf["render_only"]:
@@ -374,16 +394,13 @@ def _cmd_halo(args) -> int:
             raise UsageError(f"halo requires --{required.replace('_', '-')}")
     with Manifest("halo", conf, [conf["model_file"]]) as manifest:
         manifest.add_output(conf["out"])
+        pairs = [_parse_pair(conf["pair"])] if conf["pair"] else None
         model = _load_model(conf["model_file"])
         if model.kind != "featureless":
             raise ValueError(
                 "halo extraction from the CLI needs a featureless model; "
                 "feature-based models require an item catalog (see CatalogSetModel)"
             )
-        pairs = None
-        if conf["pair"]:
-            j, k = (int(v) for v in conf["pair"].split(","))
-            pairs = [(min(j, k), max(j, k))]
         table = hal.full_relative_table(
             model, conf["max_order"], pairs=pairs, force=conf["force"]
         )

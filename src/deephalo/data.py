@@ -190,11 +190,14 @@ def load_featureless_csv(path) -> Dataset:
         raise DataFormatError(
             f"line {header_line}: expected header 'set,choice', got {','.join(header)}"
         )
+    id_lists: dict[str, tuple[int, ...]] = {}  # set text -> ids, parsed once
     parsed = []
     for lineno, row in rows[1:]:
         if len(row) != 2:
             raise DataFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        ids = _parse_id_list(row[0], lineno)
+        ids = id_lists.get(row[0])
+        if ids is None:
+            ids = id_lists[row[0]] = _parse_id_list(row[0], lineno)
         try:
             chosen = int(row[1])
         except ValueError:
@@ -206,11 +209,12 @@ def load_featureless_csv(path) -> Dataset:
         parsed.append((ids, chosen))
     if not parsed:
         raise DataFormatError(f"{path}: no observations after header")
-    width = max(len(ids) for ids, _ in parsed)
-    universe = max(max(ids) for ids, _ in parsed) + 1
-    observations = [
-        Observation(ChoiceSet(ids, width), chosen) for ids, chosen in parsed
-    ]
+    distinct = set(id_lists.values())
+    width = max(len(ids) for ids in distinct)
+    universe = max(max(ids) for ids in distinct) + 1
+    # Observations of one offered set share one ChoiceSet.
+    choice_sets = {ids: ChoiceSet(ids, width) for ids in distinct}
+    observations = [Observation(choice_sets[ids], chosen) for ids, chosen in parsed]
     return Dataset(observations, universe=universe)
 
 

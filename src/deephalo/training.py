@@ -37,12 +37,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
+        for name in ("learning_rate", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if self.lr_schedule is not None:
             r1, r2, switch = self.lr_schedule
-            if r1 <= 0 or r2 <= 0:
-                raise ValueError("schedule rates must be positive")
+            if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+                raise ValueError("schedule rates must be positive and finite")
             if switch < 1:
                 raise ValueError("schedule switch epoch must be >= 1")
         if self.patience < 0 or self.patience > self.max_epochs:

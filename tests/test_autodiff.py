@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from deephalo import autodiff as ad
+from deephalo import data as dat
+from deephalo.featured import FeaturedModel
+from deephalo.training import TrainConfig, TrainingDivergedError, train
 
 
 def central_difference(f, x, h):
@@ -276,3 +279,166 @@ class TestMaskedSoftmax:
 def test_parameter_rejects_non_finite():
     with pytest.raises(ValueError):
         ad.parameter([np.inf, 1.0])
+
+
+# -- sorted sum --------------------------------------------------------------
+# Every reduction on the tape sorts its summands ascending and adds them left
+# to right, so the result depends only on the multiset of summands.
+
+
+def sequential_sorted_sum(x):
+    """Pure-Python reference: sort each lane of axis 0, add left to right."""
+    s = np.sort(np.asarray(x, dtype=float), axis=0)
+    out = np.empty(s.shape[1:])
+    for idx in np.ndindex(*s.shape[1:]):
+        total = s[(0,) + idx]
+        for i in range(1, s.shape[0]):
+            total = total + s[(i,) + idx]
+        out[idx] = total
+    return out
+
+
+def assert_same_values(got, want):
+    """Equal entries, NaN at the same places, and the same sign on zeros."""
+    np.testing.assert_array_equal(got, want)
+    numbers = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def wide_range(rng, shape):
+    """Normal draws spread over 16 decades, so reordering would round differently."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+
+
+def special_operands(rng, m=6, k=9, n=5):
+    """a @ b operands whose rows give +-0.0, +-inf and NaN products."""
+    a = wide_range(rng, (m, k))
+    b = wide_range(rng, (k, n))
+    a[0] = -0.0  # row 0: signed zero products, all -0.0 in column 1
+    b[:, 1] = np.abs(b[:, 1])
+    a[1, :3] = 0.0  # row 1: signed zeros among nonzero products
+    a[1, 3:5] = -0.0
+    a[2, 2] = np.inf  # row 2: +-inf, and 0 * inf = NaN in column 0
+    b[2, 0] = 0.0
+    a[3, 1] = np.inf  # row 3: inf + -inf = NaN in every column
+    a[3, 6] = -np.inf
+    b[[1, 6]] = np.abs(b[[1, 6]])
+    a[4, 4] = np.nan
+    return a, b
+
+
+class TestSortedSum:
+    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 2), (9, 4, 3), (1,), (1, 3)])
+    def test_equals_left_to_right_loop_over_sorted_values(self, shape):
+        # np.add.reduce sums pairwise when one output remains, (40,) and
+        # (40, 1) here, so the one-output shapes are the ones to watch.
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            x = wide_range(rng, shape)
+            np.testing.assert_array_equal(ad._sorted_sum(x), sequential_sorted_sum(x))
+
+    @pytest.mark.parametrize("m,k,n", [(1, 40, 1), (5, 17, 1), (6, 12, 4)])
+    def test_matmul_equals_loop_over_sorted_products(self, m, k, n):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a = wide_range(rng, (m, k))
+            b = wide_range(rng, (k, n))
+            products = a.T[:, :, None] * b[:, None, :]  # (k, m, n)
+            np.testing.assert_array_equal(
+                ad.exact_matmul(a, b), sequential_sorted_sum(products)
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_permuting_contraction_axis_is_exact_with_special_values(self):
+        rng = np.random.default_rng(13)
+        a, b = special_operands(rng)
+        ref = ad.exact_matmul(a, b)
+        assert ref[0, 1] == 0.0 and not np.signbit(ref[0, 1])  # -0.0 products
+        assert np.isnan(ref[2, 0]) and np.isinf(ref[2, 1:]).all()
+        assert np.isnan(ref[3]).all() and np.isnan(ref[4]).all()
+        for _ in range(200):
+            p = rng.permutation(a.shape[1])
+            assert_same_values(ad.exact_matmul(a[:, p], b[p, :]), ref)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_permuting_summands_is_exact_for_one_output(self):
+        rng = np.random.default_rng(14)
+        x = wide_range(rng, (30,))
+        x[:4] = [0.0, -0.0, -0.0, 0.0]
+        zeros = np.array([-0.0, -0.0, -0.0])
+        for values in (x, np.append(x, [np.inf, -np.inf]), np.append(x, np.nan), zeros):
+            ref = ad._sorted_sum(values)
+            for _ in range(100):
+                got = ad._sorted_sum(rng.permutation(values))
+                assert_same_values(np.atleast_1d(got), np.atleast_1d(ref))
+        assert not np.signbit(ad._sorted_sum(zeros))  # a zero total is +0.0
+
+    def test_inserting_zero_summands_changes_nothing(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            a = wide_range(rng, (5, 11))
+            b = wide_range(rng, (11, 4))
+            ref = ad.exact_matmul(a, b)
+            at = sorted(rng.choice(12, size=3, replace=False))
+            zero = rng.choice([0.0, -0.0])
+            a_pad = np.insert(a, at, zero, axis=1)
+            b_pad = np.insert(b, at, wide_range(rng, (3, 4)), axis=0)
+            np.testing.assert_array_equal(ad.exact_matmul(a_pad, b_pad), ref)
+            x = a[0]
+            np.testing.assert_array_equal(
+                ad._sorted_sum(np.insert(x, at, zero)), ad._sorted_sum(x)
+            )
+
+    def test_zero_padded_rows_and_columns_leave_entries_unchanged(self):
+        rng = np.random.default_rng(16)
+        a = wide_range(rng, (5, 11))
+        b = wide_range(rng, (11, 4))
+        ref = ad.exact_matmul(a, b)
+        a_pad = np.vstack([a[:2], np.zeros((2, 11)), a[2:]])
+        b_pad = np.hstack([b, np.zeros((11, 3))])
+        out = ad.exact_matmul(a_pad, b_pad)
+        np.testing.assert_array_equal(np.delete(out, [2, 3], axis=0)[:, :4], ref)
+        np.testing.assert_array_equal(out[2:4], 0.0)
+        np.testing.assert_array_equal(out[:, 4:], 0.0)
+        # Masked slots of a column sum are never read, whatever they hold.
+        node = ad.constant(a)
+        padded = ad.constant(np.hstack([a, np.zeros((5, 2))]))
+        mask = [True] * 11
+        np.testing.assert_array_equal(
+            ad.sum_over_columns(padded, mask + [False, False]).value,
+            ad.sum_over_columns(node, mask).value,
+        )
+
+    @pytest.mark.parametrize("m,k,n", [(1, 2, 1), (8, 16, 8), (16, 29, 28), (3, 64, 5)])
+    def test_within_rounding_bound_of_exactly_rounded_sum(self, m, k, n):
+        # A left-to-right sum of k rounded products is within k * eps of the
+        # exact sum of |a| @ |b|; the fsum reference rounds once more.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            a = wide_range(rng, (m, k))
+            b = wide_range(rng, (k, n))
+            ref = np.array(
+                [[math.fsum(a[i] * b[:, j]) for j in range(n)] for i in range(m)]
+            )
+            bound = 2 * k * eps * (np.abs(a) @ np.abs(b))
+            assert np.all(np.abs(ad.exact_matmul(a, b) - ref) <= bound)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_featured_divergence_raises_training_diverged():
+    # Overflowing activations reach the sorted sums as +-inf and NaN; they
+    # must surface at the training loop's checks, not as an error mid-tape.
+    rng = np.random.default_rng(18)
+    cs = dat.ChoiceSet((0, 1, 2), 3)
+    observations = [
+        dat.Observation(cs, int(rng.integers(3)), rng.uniform(-1, 1, size=(2, 3)))
+        for _ in range(6)
+    ]
+    ds = dat.Dataset(observations, universe=3, feature_dim=2)
+    model = FeaturedModel(2, 4, 2, 2, sigma="quadratic", seed=0)
+    for _, arr in model.trainables():
+        arr[...] = 1e200
+    cfg = TrainConfig(loss="nll", learning_rate=0.1, max_epochs=3, seed=0)
+    with pytest.raises(TrainingDivergedError):
+        train(model, ds, cfg)

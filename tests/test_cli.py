@@ -9,6 +9,7 @@ import pytest
 
 from deephalo import data as dat
 from deephalo.cli import main
+from deephalo.featured import FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import read_halo_csv
 
@@ -58,6 +59,16 @@ class TestGen:
         code = run("gen", "--fixture", "beverage", "--universe", "4",
                    "--set-size", "2", "-o", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_per_set_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "bev.csv"
+        code = run("gen", "--fixture", "beverage", "--n-per-set", n, "-o", str(out))
+        assert code == 2
+        assert "--n-per-set" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "bev.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +197,42 @@ class TestEval:
     def test_usage_error_without_model(self, tmp_path, beverage_csv):
         assert run("eval", "--data", str(beverage_csv)) == 2
 
+    def test_items_with_featureless_model_is_usage_error(
+        self, tmp_path, capsys, beverage_csv, trained_model
+    ):
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1\n0,0.5\n1,0.1\n2,0.2\n3,0.3\n")
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(trained_model), "--data", str(beverage_csv),
+                   "--items", str(items), "-o", str(out))
+        assert code == 2
+        assert "--items" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+    def test_truth_with_featured_model_names_truth(self, tmp_path, capsys):
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1\n0,0.5\n1,-0.25\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("set,choice\n0;1,0\n0;1,1\n")
+        truth = tmp_path / "truth.csv"
+        dat.write_probability_table({(0, 1): np.array([0.5, 0.5])}, truth)
+        model = tmp_path / "feat.json"
+        FeaturedModel(1, 4, 1, 1, seed=0).save(model)
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(model), "--data", str(obs),
+                   "--items", str(items), "--truth", str(truth), "-o", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--truth" in err and "missing 1 required positional argument" not in err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        # Without --truth the same featured evaluation runs.
+        assert run("eval", "--model-file", str(model), "--data", str(obs),
+                   "--items", str(items), "-o", str(out)) == 0
+
 
 class TestHalo:
     def test_beverage_table_shape(self, tmp_path, trained_model):
@@ -203,6 +250,17 @@ class TestHalo:
         assert run("halo", "--model-file", str(trained_model),
                    "--max-order", "2", "--pair", "1,2", "-o", str(out)) == 0
         assert read_halo_csv(out).pairs() == [(1, 2)]
+
+    @pytest.mark.parametrize("pair", ["1", "1,x", "1,2,3"])
+    def test_malformed_pair_is_usage_error(self, tmp_path, capsys, trained_model, pair):
+        out = tmp_path / "alpha.csv"
+        code = run("halo", "--model-file", str(trained_model), "--max-order", "2",
+                   "--pair", pair, "-o", str(out))
+        assert code == 2
+        assert "--pair" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "alpha.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
 
     def test_render_only_reproduces_svg(self, tmp_path, trained_model):
         alpha = tmp_path / "alpha.csv"

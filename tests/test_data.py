@@ -57,6 +57,35 @@ class TestFeaturelessCsv:
         with pytest.raises(dat.DataFormatError, match=f"line {line}:"):
             dat.load_featureless_csv(p)
 
+    def test_observations_share_one_choice_set_per_offered_set(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("set,choice\n0;1,0\n2;0;1,2\n0;1,1\n0; 1,0\n2;0;1,0\n")
+        ds = dat.load_featureless_csv(p)
+        # Equal to building one ChoiceSet per row.
+        rows = [((0, 1), 0), ((2, 0, 1), 2), ((0, 1), 1), ((0, 1), 0), ((2, 0, 1), 0)]
+        per_row = dat.Dataset(
+            [dat.Observation(dat.ChoiceSet(ids, 3), c) for ids, c in rows], universe=3
+        )
+        assert ds == per_row
+        sets = [o.choice_set for o in ds.observations]
+        assert sets[0] is sets[2] is sets[3] and sets[1] is sets[4]
+        assert sets[0] is not sets[1]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("set,choice\n0;1,0\n0;1,1\n0;1,2\n", 4),  # seen set, bad choice
+            ("set,choice\n0;1,0\n0;1,x\n", 3),
+            ("set,choice\n0;1,0\n1;1,1\n1;1,1\n", 3),
+        ],
+        ids=["choice-outside-seen-set", "bad-choice-in-seen-set", "duplicate-ids"],
+    )
+    def test_errors_in_repeated_sets_name_their_line(self, tmp_path, text, line):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(dat.DataFormatError, match=f"line {line}:"):
+            dat.load_featureless_csv(p)
+
     def test_comments_ignored(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("# generated for a test\nset,choice\n# mid comment\n0;1,1\n")

@@ -291,6 +291,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=-4)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate_or_clip_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("schedule", [(math.nan, 0.01, 3), (0.1, math.inf, 3)])
+    def test_non_finite_schedule_rate_rejected(self, schedule):
+        with pytest.raises(ValueError, match="schedule rates"):
+            TrainConfig(lr_schedule=schedule)
+
 
 # -- grouping contract ----------------------------------------------------------
 # Training and evaluation group each split once and weight one forward per
