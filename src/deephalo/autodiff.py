@@ -16,6 +16,14 @@ is what turns the model-level permutation and relabeling guarantees into
 literal equalities instead of "equal up to reassociation".  The sum is
 not exactly rounded: it carries the rounding error of an ordinary
 left-to-right sum, at most about k * eps * sum(|x|) over k summands.
+
+Masked softmax and log-softmax work column by column: each column of the
+utility matrix is one offered set, normalised over the rows its mask
+column marks.  A column's max, exponentials, sorted-sum denominator and
+vector-Jacobian product read only that column, and masked rows add exact
+zeros to the sorted sums, so a column of a wide call equals the same
+column called alone, and a one-column call equals a softmax over the
+unmasked entries of a vector.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 LAYER_NORM_EPS = 1e-5
+
+# Largest (k, m, n) product tensor, in elements, that exact_matmul builds
+# at once; wider products are taken a block of output columns at a time.
+MATMUL_BUDGET = 1 << 21
 
 
 class DimensionError(ValueError):
@@ -78,8 +90,15 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
     if k == 1:
         # Outer product: one rounding per entry, nothing to reassociate.
-        return a @ b
-    return _sorted_sum(a.T[:, :, None] * b[:, None, :])
+        return a * b
+    step = max(1, MATMUL_BUDGET // (k * m))
+    if step >= n:
+        return _sorted_sum(a.T[:, :, None] * b[:, None, :])
+    out = np.empty((m, n))
+    for lo in range(0, n, step):
+        block = b[:, lo : lo + step]
+        out[:, lo : lo + step] = _sorted_sum(a.T[:, :, None] * block[:, None, :])
+    return out
 
 
 class Node:
@@ -168,11 +187,6 @@ def backward(root: Node) -> None:
                 continue
             held = adjoint.get(id(parent))
             adjoint[id(parent)] = contrib if held is None else held + contrib
-
-
-def zero_gradients(nodes: Sequence[Node]) -> None:
-    for n in nodes:
-        n.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -370,51 +384,56 @@ def layer_norm(a: Node, gain: Node | None = None, bias: Node | None = None) -> N
     return Node(out, parents=tuple(parents), vjp=vjp)
 
 
-def _softmax_parts(u: Node, mask) -> tuple[np.ndarray, np.ndarray, float]:
-    mask = np.asarray(mask, dtype=bool).ravel()
-    if u.value.shape[1] != 1 or mask.size != u.value.shape[0]:
+def _softmax_parts(u: Node, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mask, exps, denominators): exps are zero on masked rows."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim == 1:
+        mask = mask.reshape(-1, 1)
+    if mask.shape != u.value.shape:
         raise DimensionError(
-            f"softmax expects a column vector matching the mask, got {u.value.shape}"
+            f"softmax mask shape {mask.shape} does not match utilities {u.value.shape}"
         )
-    if not mask.any():
-        raise DegenerateSetError("softmax over an all-masked utility vector")
-    vals = u.value[mask, 0]
-    mx = vals.max()
-    exps = np.exp(vals - mx)
-    denom = _sorted_sum(exps)
-    return mask, exps, denom
+    if not mask.any(axis=0).all():
+        raise DegenerateSetError("softmax over an all-masked utility column")
+    mx = np.where(mask, u.value, -np.inf).max(axis=0)
+    exps = np.exp(np.where(mask, u.value - mx, -np.inf))
+    return mask, exps, _sorted_sum(exps)
 
 
 def masked_softmax(u: Node, mask) -> Node:
-    """Softmax over the unmasked entries; masked entries are exactly zero."""
+    """Softmax of each column over its unmasked rows; masked rows are exactly zero."""
     mask, exps, denom = _softmax_parts(u, mask)
     p = exps / denom
-    out = np.zeros_like(u.value)
-    out[mask, 0] = p
 
     def vjp(g):
-        gm = g[mask, 0]
-        inner = _sorted_sum(gm * p)
-        gu = np.zeros_like(u.value)
-        gu[mask, 0] = p * (gm - inner)
-        return (gu,)
+        inner = _sorted_sum(np.where(mask, g * p, 0.0))
+        return (np.where(mask, p * (g - inner), 0.0),)
 
-    return Node(out, parents=(u,), vjp=vjp)
+    return Node(p, parents=(u,), vjp=vjp)
 
 
 def masked_log_softmax(u: Node, mask) -> Node:
-    """Log-probabilities over the unmasked entries; masked entries read 0."""
+    """Log-probabilities of each column over its unmasked rows; masked rows read 0."""
     mask, exps, denom = _softmax_parts(u, mask)
-    logp = np.log(exps / denom)
     p = exps / denom
-    out = np.zeros_like(u.value)
-    out[mask, 0] = logp
+    logp = np.log(np.where(mask, p, 1.0))
 
     def vjp(g):
-        gm = g[mask, 0]
-        total = _sorted_sum(gm)
-        gu = np.zeros_like(u.value)
-        gu[mask, 0] = gm - p * total
-        return (gu,)
+        total = _sorted_sum(np.where(mask, g, 0.0))
+        return (np.where(mask, g - p * total, 0.0),)
 
-    return Node(out, parents=(u,), vjp=vjp)
+    return Node(logp, parents=(u,), vjp=vjp)
+
+
+def join_columns(columns: Sequence[Node], rows: int) -> Node:
+    """Columns side by side in a ``rows``-row matrix, zero-padded below."""
+    value = np.zeros((rows, len(columns)))
+    for j, col in enumerate(columns):
+        if col.value.shape[1] != 1 or col.value.shape[0] > rows:
+            raise DimensionError(f"cannot join a {col.value.shape} column into {rows} rows")
+        value[: col.value.shape[0], j] = col.value[:, 0]
+
+    def vjp(g):
+        return tuple(g[: col.value.shape[0], j : j + 1] for j, col in enumerate(columns))
+
+    return Node(value, parents=tuple(columns), vjp=vjp)

@@ -260,6 +260,10 @@ def _cmd_train(args) -> int:
         raise UsageError("--items is only meaningful for deephalo-feat")
     with Manifest("train", conf, [conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
+        if conf["clip_norm"] < 0:
+            raise UsageError(
+                f"--clip-norm must be non-negative (0 = no clipping), got {conf['clip_norm']}"
+            )
         dataset = _load_dataset(conf)
         model = _build_model(conf, dataset)
         schedule = None

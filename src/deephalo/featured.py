@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import training
 from .autodiff import Node
-from .featureless import UtilityVector, check_ids, choice_probabilities
+from .featureless import UtilityVector, check_ids, choice_probabilities, column_probabilities
 
 FORMAT_VERSION = 1
 
@@ -233,7 +233,7 @@ class FeaturedModel:
         return choice_probabilities(self.forward(features, mask))
 
     # -- training hooks ------------------------------------------------------------
-    # Grouping and the loss head live in ``training``; a row of the utility
+    # Grouping and the loss head live in ``training``; a row of a utility
     # column, and so ``chosen_slot``, is a slot.
 
     def group_key(self, obs):
@@ -244,18 +244,41 @@ class FeaturedModel:
     def chosen_slot(self, obs) -> int:
         return obs.chosen_slot
 
-    def utilities_and_mask(self, nodes, obs) -> tuple[Node, np.ndarray]:
-        """Tape utilities of the observation's slots and its slot mask."""
-        mask = obs.choice_set.mask
-        return self.utilities_node(nodes, obs.features, mask), mask
+    def _slot_mask(self, observations) -> np.ndarray:
+        """Real slots of the observations as columns; narrower ones pad with masked rows."""
+        rows = max(obs.choice_set.width for obs in observations)
+        mask = np.zeros((rows, len(observations)), dtype=bool)
+        for g, obs in enumerate(observations):
+            mask[: obs.choice_set.width, g] = obs.choice_set.mask
+        return mask
+
+    def utilities_and_mask(self, nodes, observations) -> tuple[Node, np.ndarray]:
+        """Tape utilities and slot masks of the observations, as columns.
+
+        One forward per observation, joined side by side.
+        """
+        mask = self._slot_mask(observations)
+        columns = [
+            self.utilities_node(nodes, obs.features, obs.choice_set.mask) for obs in observations
+        ]
+        return ad.join_columns(columns, mask.shape[0]), mask
 
     def loss_node(self, nodes, observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)
 
-    def predict(self, obs) -> tuple[np.ndarray, np.ndarray]:
-        """(slot probabilities, real slot indices)."""
-        probs = self.probabilities(obs.features, obs.choice_set.mask)
-        return probs, np.flatnonzero(obs.choice_set.mask)
+    def predict(self, observations) -> tuple[np.ndarray, np.ndarray]:
+        """(slots x observations) probabilities and the real-slot mask.
+
+        Each observation's tape is dropped as soon as its utilities are
+        read, so memory does not grow with the number of observations.
+        """
+        nodes = self.make_param_nodes(trainable=False)
+        mask = self._slot_mask(observations)
+        values = np.zeros(mask.shape)
+        for g, obs in enumerate(observations):
+            u = self.utilities_node(nodes, obs.features, obs.choice_set.mask)
+            values[: obs.choice_set.width, g] = u.value[:, 0]
+        return column_probabilities(values, mask), mask
 
     # -- serialization ------------------------------------------------------------
 

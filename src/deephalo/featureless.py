@@ -51,16 +51,20 @@ class UtilityVector:
 
 def choice_probabilities(utilities: UtilityVector) -> np.ndarray:
     """Masked softmax: exact zeros at dummy slots, stabilized by the max."""
-    mask = utilities.mask
-    if not mask.any():
+    return column_probabilities(utilities.values[:, None], utilities.mask[:, None])[:, 0]
+
+
+def column_probabilities(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`choice_probabilities` of each column of a utility matrix.
+
+    Each column is normalised over its unmasked rows by its own
+    ``math.fsum`` denominator; masked rows are exactly zero.
+    """
+    if not mask.any(axis=0).all():
         raise DegenerateSetError("no real alternatives to choose from")
-    vals = utilities.values[mask]
-    mx = vals.max()
-    exps = np.exp(vals - mx)
-    denom = math.fsum(exps.tolist())
-    probs = np.zeros_like(utilities.values)
-    probs[mask] = exps / denom
-    return probs
+    mx = np.where(mask, values, -np.inf).max(axis=0)
+    exps = np.exp(np.where(mask, values - mx, -np.inf))
+    return exps / np.array([math.fsum(col) for col in exps.T.tolist()])
 
 
 def required_depth_quadratic(universe: int) -> int:
@@ -240,12 +244,18 @@ class FeaturelessModel:
 
     # -- forward -------------------------------------------------------------
 
-    def utilities_node(self, nodes: dict[str, Node], ids) -> Node:
-        """Tape forward; returns the universe-length utility column."""
-        ids = check_ids(ids, self.universe)
-        member = np.zeros(self.universe)
-        member[list(ids)] = 1.0
-        lift = np.zeros(self.width)
+    def utilities_node(self, nodes: dict[str, Node], sets) -> tuple[Node, np.ndarray]:
+        """Tape forward of offered sets as columns.
+
+        Returns the (universe x sets) utility matrix and its mask.  Every
+        contraction reads one column, so column ``g`` equals the forward of
+        ``sets[g]`` alone.
+        """
+        mask = np.zeros((self.universe, len(sets)), dtype=bool)
+        for g, ids in enumerate(sets):
+            mask[list(check_ids(ids, self.universe)), g] = True
+        member = mask.astype(float)
+        lift = np.zeros((self.width, len(sets)))
         lift[: self.universe] = member
 
         y = ad.constant(lift)
@@ -254,7 +264,7 @@ class FeaturelessModel:
 
         if self.activation == "linear" and self.depth > 1:
             # Extra coordinates stay unmasked so they can carry composites.
-            gate = np.ones(self.width)
+            gate = np.ones((self.width, len(sets)))
             gate[: self.universe] = member
             gate_node = ad.constant(gate)
         for layer in range(1, self.depth):
@@ -265,24 +275,21 @@ class FeaturelessModel:
             y = ad.add(y, ad.matmul(self._layer_node(nodes, layer), inner))
 
         if self.output_mode == "dense":
-            return ad.matmul(nodes["readout"], y)
+            return ad.matmul(nodes["readout"], y), mask
         projected = ad.matmul(
             ad.constant(_identity_block(self.universe, self.width)), y
         )
         if self.output_mode == "identity":
-            return projected
-        return ad.hadamard(nodes["readout"], projected)
+            return projected, mask
+        # A k = 1 product: each column is the readout itself.
+        readout = ad.matmul(nodes["readout"], ad.constant(np.ones((1, len(sets)))))
+        return ad.hadamard(readout, projected), mask
 
     def forward(self, choice_set) -> UtilityVector:
         """Utilities over the universe: finite on the set, -inf elsewhere."""
-        ids = check_ids(getattr(choice_set, "items", choice_set), self.universe)
-        nodes = self.make_param_nodes(trainable=False)
-        u = self.utilities_node(nodes, ids)
-        mask = np.zeros(self.universe, dtype=bool)
-        mask[list(ids)] = True
-        values = np.full(self.universe, -np.inf)
-        values[mask] = u.value[mask, 0]
-        return UtilityVector(values, mask)
+        ids = getattr(choice_set, "items", choice_set)
+        u, mask = self.utilities_node(self.make_param_nodes(trainable=False), [ids])
+        return UtilityVector(np.where(mask[:, 0], u.value[:, 0], -np.inf), mask[:, 0])
 
     def set_utilities(self, ids) -> np.ndarray:
         """Utilities aligned with ``ids`` order (halo-extraction hook)."""
@@ -292,8 +299,13 @@ class FeaturelessModel:
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))
 
+    def set_probabilities(self, sets) -> tuple[np.ndarray, np.ndarray]:
+        """(universe x sets) probabilities, one offered set per column, and the mask."""
+        u, mask = self.utilities_node(self.make_param_nodes(trainable=False), sets)
+        return column_probabilities(u.value, mask), mask
+
     # -- training hooks --------------------------------------------------------
-    # Grouping and the loss head live in ``training``; a row of the utility
+    # Grouping and the loss head live in ``training``; a row of a utility
     # column, and so ``chosen_slot``, is an item id.
 
     def group_key(self, obs):
@@ -302,20 +314,16 @@ class FeaturelessModel:
     def chosen_slot(self, obs) -> int:
         return obs.chosen
 
-    def utilities_and_mask(self, nodes: dict[str, Node], obs) -> tuple[Node, np.ndarray]:
-        """Tape utilities of the offered set and its mask, both universe-length."""
-        ids = obs.choice_set.items
-        mask = np.zeros(self.universe, dtype=bool)
-        mask[list(ids)] = True
-        return self.utilities_node(nodes, ids), mask
+    def utilities_and_mask(self, nodes: dict[str, Node], observations) -> tuple[Node, np.ndarray]:
+        """Tape utilities and mask of the observations' offered sets, as columns."""
+        return self.utilities_node(nodes, [obs.choice_set.items for obs in observations])
 
     def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)
 
-    def predict(self, obs) -> tuple[np.ndarray, np.ndarray]:
-        """(universe-length probabilities, offered item ids ascending)."""
-        probs = self.probabilities(obs.choice_set.items)
-        return probs, np.array(sorted(obs.choice_set.items))
+    def predict(self, observations) -> tuple[np.ndarray, np.ndarray]:
+        """(universe x observations) probabilities and the offered-item mask."""
+        return self.set_probabilities([obs.choice_set.items for obs in observations])
 
     def snapshot(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.trainables()]

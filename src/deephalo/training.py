@@ -42,6 +42,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
+        if self.clip_norm < 0:
+            raise ValueError(
+                f"clip_norm must be non-negative (0 = no clipping), got {self.clip_norm!r}"
+            )
         if self.lr_schedule is not None:
             r1, r2, switch = self.lr_schedule
             if not (0 < r1 < math.inf and 0 < r2 < math.inf):
@@ -144,7 +148,13 @@ def adam_step(
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """Scale all gradients down to a global norm of ``max_norm``.
+
+    The norm is one sorted sum, so it does not depend on where an entry
+    sits in its array.
+    """
+    squares = np.concatenate([(g * g).ravel() for g in grads.values()])
+    total = math.sqrt(float(ad._sorted_sum(squares)))
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads.values():
@@ -183,37 +193,38 @@ class Groups:
         return np.bincount(flat, minlength=cells).reshape(-1, self.rows)
 
 
-def _padded(counts: np.ndarray, size: int) -> np.ndarray:
-    """A count-table row as floats, as long as a utility column of ``size``."""
-    out = np.zeros(size)
-    out[: min(size, counts.size)] = counts[:size]
+def _padded(table: np.ndarray, rows: int) -> np.ndarray:
+    """Count-table rows as floats, each as long as a utility column of ``rows``."""
+    out = np.zeros((table.shape[0], rows))
+    width = min(rows, table.shape[1])
+    out[:, :width] = table[:, :width]
     return out
 
 
 def _loss_head(model, nodes, groups: Groups, table: np.ndarray, kind: str) -> ad.Node:
     """Mean loss of the observations counted in ``table``.
 
-    One tape forward per group with a nonzero count, in group order; each
-    group's term weights its rows by their counts.
+    One tape forward with a column per group that has a nonzero count;
+    each column's rows are weighted by their counts.
     """
     if kind not in LOSSES:
         raise ValueError(f"unknown loss kind '{kind}'")
-    total = None
-    for g in np.flatnonzero(table.sum(axis=1)):
-        u, mask = model.utilities_and_mask(nodes, groups.representatives[g])
-        counts = _padded(table[g], mask.size)
-        if kind == "nll":
-            logp = ad.masked_log_softmax(u, mask)
-            term = ad.scale(ad.sum_all(ad.hadamard(logp, ad.constant(counts))), -1.0)
-        else:
-            p = ad.masked_softmax(u, mask)
-            n_group = counts.sum()
-            freq = counts / n_group
-            quad = ad.sum_all(ad.hadamard(p, p))
-            cross = ad.sum_all(ad.hadamard(p, ad.constant(freq)))
-            per_obs = ad.add_scalar(ad.add(quad, ad.scale(cross, -2.0)), 1.0)
-            term = ad.scale(per_obs, n_group / int(mask.sum()))
-        total = term if total is None else ad.add(total, term)
+    used = np.flatnonzero(table.sum(axis=1))
+    u, mask = model.utilities_and_mask(nodes, [groups.representatives[g] for g in used])
+    counts = _padded(table[used], mask.shape[0]).T
+    if kind == "nll":
+        logp = ad.masked_log_softmax(u, mask)
+        total = ad.scale(ad.sum_all(ad.hadamard(logp, ad.constant(counts))), -1.0)
+    else:
+        # A group of n observations over a set S contributes
+        # (n / |S|) * (sum p^2 - 2 sum p * counts / n + 1).
+        p = ad.masked_softmax(u, mask)
+        sizes = mask.sum(axis=0)
+        weight = counts.sum(axis=0) / sizes
+        per_row = ad.constant(np.tile(weight, (mask.shape[0], 1)))
+        quad = ad.sum_all(ad.hadamard(ad.hadamard(p, p), per_row))
+        cross = ad.sum_all(ad.hadamard(p, ad.constant(counts / sizes)))
+        total = ad.add_scalar(ad.add(quad, ad.scale(cross, -2.0)), math.fsum(weight))
     return ad.scale(total, 1.0 / int(table.sum()))
 
 
@@ -303,29 +314,23 @@ def train(model, dataset, config: TrainConfig):
 
 
 def _metrics(model, groups: Groups) -> Metrics:
-    """Metrics from one prediction per group and the groups' count table.
+    """Metrics from one prediction over all groups and their count table.
 
     Each distinct (group, row) NLL term is computed once and repeated by
     its count, so the fsum sees the same summands as a per-observation sum.
     """
+    probs, mask = model.predict(groups.representatives)
+    table = _padded(groups.counts(), mask.shape[0])
     nll_terms = []
-    hits = 0
-    sq_err = []
-    slot_count = 0
-    for rep, row_counts in zip(groups.representatives, groups.counts()):
-        probs, slots = model.predict(rep)
-        counts = _padded(row_counts, probs.size)
-        for row in np.flatnonzero(counts):
-            nll_terms += [nll_loss(probs, int(row))] * int(counts[row])
-        hits += int(counts[np.argmax(probs)])
-        diff = probs[slots] - counts[slots] / counts.sum()
-        sq_err.extend((diff * diff).tolist())
-        slot_count += slots.size
+    for g, row in zip(*np.nonzero(table)):
+        nll_terms += [nll_loss(probs[:, g], int(row))] * int(table[g, row])
+    hits = table[np.arange(table.shape[0]), np.argmax(probs, axis=0)].sum()
+    diff = (probs - table.T / table.sum(axis=1))[mask]
     n = len(groups)
     return Metrics(
         nll=math.fsum(nll_terms) / n,
-        accuracy=hits / n,
-        rmse=math.sqrt(math.fsum(sq_err) / slot_count),
+        accuracy=int(hits) / n,
+        rmse=math.sqrt(math.fsum((diff * diff).tolist()) / diff.size),
     )
 
 
@@ -344,15 +349,13 @@ def rmse_vs_frequencies(model, table) -> float:
     """
     if not table:
         raise ValueError("empty frequency table")
+    sets = [tuple(ids) for ids in table]
+    probs, mask = model.set_probabilities(sets)
     sq_err = []
-    slots = 0
-    for ids, freq in table.items():
-        ids = tuple(ids)
-        probs = model.probabilities(ids)
-        diff = probs[list(ids)] - np.asarray(freq, dtype=float)
+    for g, (ids, freq) in enumerate(zip(sets, table.values())):
+        diff = probs[list(ids), g] - np.asarray(freq, dtype=float)
         sq_err.extend((diff * diff).tolist())
-        slots += len(ids)
-    return math.sqrt(math.fsum(sq_err) / slots)
+    return math.sqrt(math.fsum(sq_err) / int(mask.sum()))
 
 
 def write_history_csv(history: History, path) -> None:

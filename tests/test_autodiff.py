@@ -192,6 +192,10 @@ class TestBackward:
         np.testing.assert_allclose(a1.grad, a2.grad, atol=1e-12)
 
 
+COLUMN_MASK = np.array(
+    [[True, False, True], [True, True, False], [False, True, True], [True, False, False]]
+)
+
 FD_CASES = [
     ("matmul", lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
     ("hadamard", lambda a, b: ad.hadamard(a, b), [(3, 3), (3, 3)]),
@@ -204,6 +208,9 @@ FD_CASES = [
     ("layer_norm", lambda a, g, b: ad.layer_norm(a, g, b), [(4, 3), (4, 1), (4, 1)]),
     ("softmax", lambda a: ad.masked_softmax(a, [True, True, False, True]), [(4, 1)]),
     ("log_softmax", lambda a: ad.masked_log_softmax(a, [True, True, True, False]), [(4, 1)]),
+    ("softmax_columns", lambda a: ad.masked_softmax(a, COLUMN_MASK), [(4, 3)]),
+    ("log_softmax_columns", lambda a: ad.masked_log_softmax(a, COLUMN_MASK), [(4, 3)]),
+    ("join_columns", lambda a, b: ad.join_columns([a, b], 4), [(2, 1), (3, 1)]),
     ("scale_by", lambda a, s: ad.scale_by(a, s), [(3, 2), (1, 1)]),
 ]
 
@@ -274,6 +281,90 @@ class TestMaskedSoftmax:
         out = ad.masked_softmax(ad.constant([1000.0, 999.0]), [True, True])
         assert np.isfinite(out.value).all()
         assert out.value[0, 0] > out.value[1, 0]
+
+
+class TestColumnSoftmax:
+    """Each column of a wide call is the softmax of that column alone."""
+
+    @pytest.mark.parametrize("op", [ad.masked_softmax, ad.masked_log_softmax])
+    def test_columns_equal_one_column_calls(self, op):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            u = rng.normal(0.0, 10.0, size=(6, 7))
+            mask = rng.random((6, 7)) < 0.5
+            mask[rng.integers(6, size=7), np.arange(7)] = True
+            weight = rng.normal(size=(6, 7))
+            wide = ad.parameter(u)
+            out = op(wide, mask)
+            ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(weight))))
+            for g in range(7):
+                col = ad.parameter(u[:, g : g + 1].copy())
+                one = op(col, mask[:, g])
+                ad.backward(ad.sum_all(ad.hadamard(one, ad.constant(weight[:, g : g + 1]))))
+                assert_same_values(out.value[:, g : g + 1], one.value)
+                assert_same_values(wide.grad[:, g : g + 1], col.grad)
+
+    def test_one_column_is_softmax_over_unmasked_entries(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            u = rng.normal(0.0, 10.0, size=9)
+            mask = rng.random(9) < 0.6
+            mask[int(rng.integers(9))] = True
+            vals = u[mask]
+            exps = np.exp(vals - vals.max())
+            want = np.zeros(9)
+            want[mask] = exps / sequential_sorted_sum(exps)
+            want_log = np.zeros(9)
+            want_log[mask] = np.log(exps / sequential_sorted_sum(exps))
+            np.testing.assert_array_equal(ad.masked_softmax(ad.constant(u), mask).value[:, 0], want)
+            np.testing.assert_array_equal(
+                ad.masked_log_softmax(ad.constant(u), mask).value[:, 0], want_log
+            )
+
+    def test_all_masked_column_rejected(self):
+        mask = np.array([[True, False], [False, False]])
+        with pytest.raises(ad.DegenerateSetError):
+            ad.masked_log_softmax(ad.constant(np.zeros((2, 2))), mask)
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ad.DimensionError):
+            ad.masked_softmax(ad.constant(np.zeros((3, 2))), [True, True, False])
+
+
+def test_join_columns_pads_with_zero_rows():
+    a = ad.parameter(np.array([[1.0], [2.0]]))
+    b = ad.parameter(np.array([[3.0], [4.0], [5.0]]))
+    joined = ad.join_columns([a, b], 4)
+    np.testing.assert_array_equal(joined.value, [[1.0, 3.0], [2.0, 4.0], [0.0, 5.0], [0.0, 0.0]])
+    weight = np.arange(8.0).reshape(4, 2)
+    ad.backward(ad.sum_all(ad.hadamard(joined, ad.constant(weight))))
+    np.testing.assert_array_equal(a.grad, weight[:2, :1])
+    np.testing.assert_array_equal(b.grad, weight[:3, 1:])
+    with pytest.raises(ad.DimensionError):
+        ad.join_columns([b], 2)
+
+
+class TestMatmulBudget:
+    """exact_matmul takes wide products a block of output columns at a time."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("budget", [1, 9 * 6 * 2, 9 * 6 * 4])
+    def test_blocks_equal_one_product_tensor(self, monkeypatch, budget):
+        rng = np.random.default_rng(21)
+        a, b = special_operands(rng)  # (6, 9) @ (9, 5)
+        cases = [(a, b), (wide_range(rng, (4, 7)), wide_range(rng, (7, 23)))]
+        whole = [ad._sorted_sum(x.T[:, :, None] * y[:, None, :]) for x, y in cases]
+        calls = []
+        counted = ad._sorted_sum
+        monkeypatch.setattr(ad, "MATMUL_BUDGET", budget)
+        monkeypatch.setattr(ad, "_sorted_sum", lambda x: calls.append(x.shape) or counted(x))
+        for (x, y), want in zip(cases, whole):
+            calls.clear()
+            assert_same_values(ad.exact_matmul(x, y), want)
+            k, m = x.shape[1], x.shape[0]
+            step = max(1, budget // (k * m))
+            assert len(calls) == -(-y.shape[1] // step)
+            assert all(c[1] * c[2] * k <= max(budget, k * m) for c in calls)
 
 
 def test_parameter_rejects_non_finite():

@@ -143,6 +143,16 @@ class TestTrain:
         assert "batch_size" in manifest["error"]
         assert not (tmp_path / "m.json").exists()
 
+    def test_negative_clip_norm_is_usage_error(self, tmp_path, capsys, beverage_csv):
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv),
+                   "--clip-norm", "-1", "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert "--clip-norm" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
     def test_config_file_with_cli_override(self, tmp_path, beverage_csv):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"model": "mnl", "epochs": 3, "lr": 0.1}))

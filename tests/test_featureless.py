@@ -198,6 +198,41 @@ def test_label_equivariance_is_exact():
             )
 
 
+@pytest.mark.parametrize("activation", ["linear", "quadratic"])
+@pytest.mark.parametrize("output_mode", ["dense", "identity", "diagonal"])
+@pytest.mark.parametrize("rank", [None, 2])
+@pytest.mark.parametrize("residual", [True, False])
+def test_batched_columns_equal_one_set_forwards(activation, output_mode, rank, residual):
+    """Sets as columns of one forward give each set's own forward bit for bit."""
+    rng = np.random.default_rng(31)
+    m = FeaturelessModel(
+        4, 6, 3, activation, rank=rank, output_mode=output_mode, first_layer_residual=residual
+    )
+    if rank is None:
+        m.layers = [rng.normal(0, 0.5, size=l.shape) for l in m.layers]
+    else:
+        m.layers = [tuple(rng.normal(0, 0.7, size=f.shape) for f in l) for l in m.layers]
+    if m.readout is not None:
+        m.readout = rng.normal(1.0, 0.5, size=m.readout.shape)
+    sets = [
+        tuple(int(i) for i in rng.permutation(ids))
+        for size in range(1, 5)
+        for ids in itertools.combinations(range(4), size)
+    ]
+    sets = [sets[i] for i in rng.permutation(len(sets))]
+    nodes = m.make_param_nodes(trainable=False)
+    u, mask = m.utilities_node(nodes, sets)
+    probs, _ = m.set_probabilities(sets)
+    assert u.shape == mask.shape == probs.shape == (4, len(sets))
+    for g, ids in enumerate(sets):
+        one, one_mask = m.utilities_node(nodes, [ids])
+        np.testing.assert_array_equal(u.value[:, g], one.value[:, 0])
+        np.testing.assert_array_equal(mask[:, g], one_mask[:, 0])
+        assert sorted(np.flatnonzero(mask[:, g])) == sorted(ids)
+        np.testing.assert_array_equal(m.forward(ids).values[list(ids)], u.value[list(ids), g])
+        np.testing.assert_array_equal(probs[:, g], m.probabilities(ids))
+
+
 def test_monotone_expressiveness_by_embedding():
     """A deeper model with zeroed extra layers reproduces the shallow one
     exactly, so its minimal loss can only be lower."""

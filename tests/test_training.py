@@ -1,5 +1,6 @@
 """Losses, the optimizer, the training loop, and evaluation metrics."""
 
+import copy
 import itertools
 import math
 
@@ -297,6 +298,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
 
+    def test_negative_clip_norm_rejected(self):
+        with pytest.raises(ValueError, match="clip_norm must be non-negative"):
+            TrainConfig(clip_norm=-1.0)
+
     @pytest.mark.parametrize("schedule", [(math.nan, 0.01, 3), (0.1, math.inf, 3)])
     def test_non_finite_schedule_rate_rejected(self, schedule):
         with pytest.raises(ValueError, match="schedule rates"):
@@ -457,3 +462,91 @@ class TestLocatedErrors:
             m.loss_node(m.make_param_nodes(), ds.observations, "nll")
         with pytest.raises(ValueError, match="requires observations with features"):
             evaluate(m, ds)
+
+
+# -- relabeling and mixed widths ------------------------------------------------
+
+
+def _relabeled_model(model, perm):
+    """``model`` with item ``perm[i]`` renamed ``i``; extra coordinates stay put."""
+    lifted = np.concatenate([perm, np.arange(model.universe, model.width)])
+    out = copy.deepcopy(model)
+    out.layers = [model.layers[0][np.ix_(lifted, perm)]] + [
+        layer[np.ix_(lifted, lifted)] for layer in model.layers[1:]
+    ]
+    out.readout = model.readout[np.ix_(perm, lifted)]
+    return out
+
+
+def _relabeled_dataset(ds, perm):
+    new_id = np.argsort(perm)
+    observations = [
+        dat.Observation(
+            dat.ChoiceSet(tuple(int(new_id[i]) for i in o.choice_set.items), o.choice_set.width),
+            int(new_id[o.chosen]),
+        )
+        for o in ds.observations
+    ]
+    return dat.Dataset(observations, universe=ds.universe)
+
+
+@pytest.mark.parametrize("loss", ["nll", "mse_onehot"])
+@pytest.mark.parametrize("batch_size", [0, 32])
+@pytest.mark.parametrize("clip_norm", [0.0, 1e-3])
+def test_training_is_relabeling_equivariant_bit_for_bit(loss, batch_size, clip_norm):
+    """Renaming the items in the data and the initial weights renames the
+    trained weights exactly: no sum depends on the order of the groups."""
+    rng = np.random.default_rng(41)
+    table = {}
+    for size in (2, 3, 3, 4, 5):
+        ids = tuple(sorted(int(i) for i in rng.choice(5, size=size, replace=False)))
+        table[ids] = rng.dirichlet(np.ones(size))
+    ds = dat.sample_choices(table, 30, seed=2)
+    perm = np.array([3, 0, 4, 1, 2])
+    model = FeaturelessModel.deephalo(5, width=7, depth=2, seed=3)
+    model.layers[0] *= 10.0
+    relabeled = _relabeled_model(model, perm)
+    cfg = TrainConfig(
+        loss=loss, learning_rate=0.05, batch_size=batch_size, max_epochs=3, seed=4,
+        clip_norm=clip_norm,
+    )
+    model, history = train(model, ds, cfg)
+    relabeled, relabeled_history = train(relabeled, _relabeled_dataset(ds, perm), cfg)
+    assert relabeled_history.digest() == history.digest()
+    want = _relabeled_model(model, perm)
+    for (name, got), (_, expected) in zip(relabeled.trainables(), want.trainables()):
+        assert np.array_equal(got, expected), name
+
+
+def _mixed_width_dataset():
+    """Featured observations padded to widths 2, 3 and 4."""
+    rng = np.random.default_rng(9)
+    observations = []
+    for i in range(30):
+        width = 2 + i % 3
+        real = int(rng.integers(1, width + 1))
+        x = np.zeros((3, width))
+        x[:, :real] = rng.normal(size=(3, real))
+        cs = dat.ChoiceSet(tuple(range(real)), width)
+        observations.append(dat.Observation(cs, int(rng.integers(real)), x))
+    return dat.Dataset(observations, universe=4, feature_dim=3)
+
+
+def test_featured_mixed_widths_train_and_evaluate():
+    ds = _mixed_width_dataset()
+    assert {o.choice_set.width for o in ds.observations} == {2, 3, 4}
+    model = FeaturedModel(3, 4, 2, 2, seed=5)
+    model.params["readout"] *= 50.0
+    assert evaluate(model, ds) == _reference_metrics(model, ds.observations, _featured_reference)
+    per_obs = [_featured_reference(model, o) for o in ds.observations]
+    nodes = model.make_param_nodes(trainable=False)
+    nll = model.loss_node(nodes, ds.observations, "nll").value[0, 0]
+    assert nll == pytest.approx(np.mean([nll_loss(p, c) for p, _, c, _ in per_obs]), rel=1e-12)
+    mse = model.loss_node(nodes, ds.observations, "mse_onehot").value[0, 0]
+    want = np.mean([mse_onehot_loss(p, c, rows) for p, rows, c, _ in per_obs])
+    assert mse == pytest.approx(want, rel=1e-12)
+    for loss in ("nll", "mse_onehot"):
+        cfg = TrainConfig(loss=loss, learning_rate=0.05, batch_size=8, max_epochs=4, seed=1)
+        trained, history = train(FeaturedModel(3, 4, 2, 2, seed=5), ds, cfg)
+        losses = [r.train_loss for r in history.records]
+        assert np.isfinite(losses).all() and losses[-1] < losses[0]
