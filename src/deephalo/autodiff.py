@@ -23,7 +23,22 @@ column marks.  A column's max, exponentials, sorted-sum denominator and
 vector-Jacobian product read only that column, and masked rows add exact
 zeros to the sorted sums, so a column of a wide call equals the same
 column called alone, and a one-column call equals a softmax over the
-unmasked entries of a vector.
+unmasked entries of a vector.  ``layer_norm`` takes its mean and variance
+(and both means of its backward pass) as sorted sums down each column,
+so a column's statistics never depend on how many columns stand beside
+it.
+
+The segment ops run a batch of observations as one column block: the
+columns of a (rows x C) matrix are the real slots of B observations, and
+a :class:`Segments` layout records which observation owns each column and
+at which slot.  ``segment_sum``/``segment_mean`` reduce each
+observation's columns to one column of a (rows x B) result; the columns
+are scattered into a zero-padded (slots, rows, B) array and sort-summed
+over the slot axis, so the padding adds exact zeros and an observation's
+result equals its reduction alone.  ``segment_scale`` and
+``segment_bias`` broadcast a per-observation factor or column back to
+the observation's columns, and ``scatter_slots`` lays a (1 x C) row out
+as the (slots x B) matrix of a padded batch.
 """
 
 from __future__ import annotations
@@ -104,13 +119,15 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Node:
     """One value on the tape.
 
-    ``grad`` has the same shape as ``value`` and starts at zero; repeated
-    :func:`backward` calls accumulate into it.  ``vjp`` maps the adjoint of
-    this node to adjoint contributions for each parent (or ``None`` for
-    parents that do not require gradients).
+    ``grad`` has the same shape as ``value`` and reads as zeros until
+    :func:`backward` first reaches the node, which allocates it; repeated
+    :func:`backward` calls accumulate into it.  A node that never requires
+    a gradient (constants, forward-only tapes) allocates none.  ``vjp``
+    maps the adjoint of this node to adjoint contributions for each parent
+    (or ``None`` for parents that do not require gradients).
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "parents", "vjp")
+    __slots__ = ("value", "_grad", "requires_grad", "parents", "vjp")
 
     def __init__(
         self,
@@ -120,10 +137,14 @@ class Node:
         vjp: Callable[[np.ndarray], tuple] | None = None,
     ):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.parents = parents
         self.vjp = vjp
+
+    @property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self.value) if self._grad is None else self._grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -179,7 +200,9 @@ def backward(root: Node) -> None:
         g = adjoint.pop(id(node), None)
         if g is None or not node.requires_grad:
             continue
-        node.grad += g
+        if node._grad is None:
+            node._grad = np.zeros_like(node.value)
+        node._grad += g
         if node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
@@ -340,19 +363,136 @@ def sum_over_columns(a: Node, mask) -> Node:
     return Node(value, parents=(a,), vjp=vjp)
 
 
+# ---------------------------------------------------------------------------
+# Segment ops: a batch of observations as one column block
+# ---------------------------------------------------------------------------
+
+
+class Segments:
+    """Column layout of a batch: which observation owns each column, at which slot.
+
+    Built from one slot mask per observation.  The columns are the real
+    slots, observation by observation and slot by slot; ``owner[c]`` and
+    ``slot[c]`` locate column ``c``.  ``mask`` is the (slots x
+    observations) real-slot mask, padded with dummy slots below
+    observations narrower than the widest.
+    """
+
+    def __init__(self, masks: Sequence):
+        masks = [np.asarray(m, dtype=bool).ravel() for m in masks]
+        if not masks:
+            raise DimensionError("a batch needs at least one observation")
+        self.mask = np.zeros((max(m.size for m in masks), len(masks)), dtype=bool)
+        for b, m in enumerate(masks):
+            self.mask[: m.size, b] = m
+        self.counts = self.mask.sum(axis=0)
+        if not self.counts.all():
+            raise DegenerateSetError("an observation has no real slot")
+        self.owner, self.slot = np.nonzero(self.mask.T)
+
+    def _check(self, a: Node, what: str) -> None:
+        if a.value.shape[1] != self.owner.size:
+            raise DimensionError(
+                f"{what} has {a.value.shape[1]} columns, the layout {self.owner.size}"
+            )
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(rows x C) columns into a zero-padded (slots, rows, observations) array."""
+        out = np.zeros((self.mask.shape[0], x.shape[0], self.mask.shape[1]))
+        out[self.slot, :, self.owner] = x.T
+        return out
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Sorted sum of each observation's columns of ``x``, as (rows x observations)."""
+        return _sorted_sum(self.gather(x))
+
+
+def segment_sum(a: Node, seg: Segments) -> Node:
+    """Sum of each observation's columns: (rows x C) to (rows x observations)."""
+    seg._check(a, "segment_sum input")
+    return Node(seg.sums(a.value), parents=(a,), vjp=lambda g: (g[:, seg.owner],))
+
+
+def segment_mean(a: Node, seg: Segments) -> Node:
+    """Mean of each observation's columns, divided by its real-slot count."""
+    seg._check(a, "segment_mean input")
+    value = seg.sums(a.value) / seg.counts
+
+    def vjp(g):
+        return ((g / seg.counts)[:, seg.owner],)
+
+    return Node(value, parents=(a,), vjp=vjp)
+
+
+def segment_scale(a: Node, s: Node, seg: Segments, row: int) -> Node:
+    """Scale each column by its owner's factor ``s[row, owner]``.
+
+    ``s`` holds one column per observation.  The gradient of an
+    observation's factor is one sorted sum over the products of all its
+    entries, as :func:`scale_by`'s is.
+    """
+    seg._check(a, "segment_scale input")
+    if s.value.shape[1] != seg.mask.shape[1] or not 0 <= row < s.value.shape[0]:
+        raise DimensionError(
+            f"segment_scale factors {s.value.shape} do not give row {row} "
+            f"for {seg.mask.shape[1]} observations"
+        )
+    factors = s.value[row, seg.owner]
+
+    def vjp(g):
+        ga = g * factors if a.requires_grad else None
+        gs = None
+        if s.requires_grad:
+            gs = np.zeros_like(s.value)
+            products = seg.gather(g * a.value)
+            gs[row] = _sorted_sum(products.reshape(-1, products.shape[2]))
+        return ga, gs
+
+    return Node(a.value * factors, parents=(a, s), vjp=vjp)
+
+
+def segment_bias(a: Node, b: Node, seg: Segments) -> Node:
+    """Add each observation's column of ``b`` to that observation's columns of ``a``."""
+    seg._check(a, "segment_bias input")
+    if b.value.shape != (a.value.shape[0], seg.mask.shape[1]):
+        raise DimensionError(
+            f"segment_bias shape {b.value.shape} does not match {a.value.shape[0]} "
+            f"rows x {seg.mask.shape[1]} observations"
+        )
+
+    def vjp(g):
+        gb = seg.sums(g) if b.requires_grad else None
+        return g, gb
+
+    return Node(a.value + b.value[:, seg.owner], parents=(a, b), vjp=vjp)
+
+
+def scatter_slots(u: Node, seg: Segments) -> Node:
+    """A (1 x C) row as the (slots x observations) matrix; dummy slots read 0."""
+    seg._check(u, "scatter_slots input")
+    if u.value.shape[0] != 1:
+        raise DimensionError(f"scatter_slots takes one row, got {u.value.shape}")
+    value = np.zeros(seg.mask.shape)
+    value[seg.slot, seg.owner] = u.value[0]
+    return Node(value, parents=(u,), vjp=lambda g: (g[seg.slot, seg.owner][None, :],))
+
+
 def layer_norm(a: Node, gain: Node | None = None, bias: Node | None = None) -> Node:
     """Normalize each column to zero mean / unit variance, then affine.
 
     A zero-variance column maps to the bias (or zero when no affine is
-    given): the variance floor is ``LAYER_NORM_EPS``.
+    given): the variance floor is ``LAYER_NORM_EPS``.  The statistics are
+    sorted sums down each column, so a column's value and gradient are the
+    same alone and beside other columns.
     """
     if gain is not None and gain.value.shape != (a.value.shape[0], 1):
         raise DimensionError("layer_norm gain must be rows x 1")
     if bias is not None and bias.value.shape != (a.value.shape[0], 1):
         raise DimensionError("layer_norm bias must be rows x 1")
-    mu = a.value.mean(axis=0, keepdims=True)
+    m = a.value.shape[0]
+    mu = _sorted_sum(a.value) / m
     centered = a.value - mu
-    var = (centered * centered).mean(axis=0, keepdims=True)
+    var = _sorted_sum(centered * centered) / m
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     out = xhat
@@ -360,12 +500,11 @@ def layer_norm(a: Node, gain: Node | None = None, bias: Node | None = None) -> N
         out = out * gain.value
     if bias is not None:
         out = out + bias.value
-    m = a.value.shape[0]
 
     def vjp(g):
         gh = g * gain.value if gain is not None else g
-        mean_gh = gh.mean(axis=0, keepdims=True)
-        mean_ghx = (gh * xhat).mean(axis=0, keepdims=True)
+        mean_gh = _sorted_sum(gh) / m
+        mean_ghx = _sorted_sum(gh * xhat) / m
         ga = inv * (gh - mean_gh - xhat * mean_ghx) if a.requires_grad else None
         out_grads = [ga]
         if gain is not None:
@@ -424,16 +563,3 @@ def masked_log_softmax(u: Node, mask) -> Node:
 
     return Node(logp, parents=(u,), vjp=vjp)
 
-
-def join_columns(columns: Sequence[Node], rows: int) -> Node:
-    """Columns side by side in a ``rows``-row matrix, zero-padded below."""
-    value = np.zeros((rows, len(columns)))
-    for j, col in enumerate(columns):
-        if col.value.shape[1] != 1 or col.value.shape[0] > rows:
-            raise DimensionError(f"cannot join a {col.value.shape} column into {rows} rows")
-        value[: col.value.shape[0], j] = col.value[:, 0]
-
-    def vjp(g):
-        return tuple(g[: col.value.shape[0], j : j + 1] for j, col in enumerate(columns))
-
-    return Node(value, parents=tuple(columns), vjp=vjp)

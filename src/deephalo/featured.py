@@ -13,7 +13,16 @@ three-layer perceptron.  Every residual layer then
 Evaluating the modulators on the base embedding rather than the running
 state is what caps the interaction order at one extra order per layer.
 Utilities are a linear readout of the final representations; dummy slots
-are re-zeroed after every stage and read probability exactly zero.
+read probability exactly zero.
+
+A batch of observations runs as one column block over their real slots:
+the real feature columns of all observations are concatenated into one
+(d_x x C) matrix, and every stage works on the (d x C) state.  The
+embedding, the modulators, layer norm and the readout work column by
+column; the context pooling is the only step that crosses columns, and it
+stays within each observation (``autodiff`` segment ops).  Dummy slots are
+never computed, so an observation's utilities are the same bits alone, in
+any batch and at any padded width.
 
 The ``resnet`` variant drops head modulation and adds the aggregated
 context vector itself back to every alternative.
@@ -28,9 +37,20 @@ import numpy as np
 from . import autodiff as ad
 from . import training
 from .autodiff import Node
-from .featureless import UtilityVector, check_ids, choice_probabilities, column_probabilities
+from .featureless import (
+    UtilityVector,
+    check_header,
+    check_ids,
+    choice_probabilities,
+    column_probabilities,
+    weight_group,
+)
 
 FORMAT_VERSION = 1
+
+# Observations per forward-only tape in ``predict``: bounds the tape held
+# at once, so peak memory does not grow with the number of observations.
+PREDICT_BLOCK = 16
 
 SIGMAS = ("identity", "quadratic")
 VARIANTS = ("heads", "resnet")
@@ -146,18 +166,13 @@ class FeaturedModel:
             raise ValueError("dummy feature columns must be exactly zero")
         return features, mask
 
-    def _mask_columns(self, z: Node, mask: np.ndarray) -> Node:
-        gate = np.repeat(mask[None, :].astype(float), z.value.shape[0], axis=0)
-        return ad.hadamard(z, ad.constant(gate))
-
-    def embed_node(self, nodes, features: np.ndarray, mask: np.ndarray) -> Node:
-        x = ad.constant(features)
+    def embed_node(self, nodes, x: Node) -> Node:
         h1 = ad.relu(ad.add_bias(ad.matmul(nodes["embed.w1"], x), nodes["embed.b1"]))
         h2 = ad.relu(ad.add_bias(ad.matmul(nodes["embed.w2"], h1), nodes["embed.b2"]))
         h3 = ad.add_bias(ad.matmul(nodes["embed.w3"], h2), nodes["embed.b3"])
         if self.layer_norm:
             h3 = ad.layer_norm(h3, nodes["embed.ln_gain"], nodes["embed.ln_bias"])
-        return self._mask_columns(h3, mask)
+        return h3
 
     def _modulator_node(self, nodes, l: int, head: int, base: Node) -> Node:
         hid = ad.relu(
@@ -173,61 +188,68 @@ class FeaturedModel:
             out = ad.layer_norm(out, nodes[f"layer{l}.ln_gain"], nodes[f"layer{l}.ln_bias"])
         return out
 
-    def layer_node(self, nodes, l: int, z_prev: Node, base: Node, mask: np.ndarray) -> Node:
+    def layer_node(self, nodes, l: int, z_prev: Node, base: Node, seg: ad.Segments) -> Node:
         inner = z_prev if self.sigma == "identity" else ad.elementwise_square(z_prev)
         pooled = ad.matmul(nodes[f"layer{l}.agg"], inner)
         if self.aggregation == "mean":
-            context = ad.mean_over_columns(pooled, mask)
+            context = ad.segment_mean(pooled, seg)
         else:
-            context = ad.sum_over_columns(pooled, mask)
+            context = ad.segment_sum(pooled, seg)
         if self.variant == "resnet":
-            z = ad.add_bias(z_prev, context)
-        else:
-            shift = None
-            for head in range(self.heads):
-                modulated = ad.scale_by(
-                    self._modulator_node(nodes, l, head, base),
-                    ad.slice_entry(context, head, 0),
-                )
-                shift = modulated if shift is None else ad.add(shift, modulated)
-            z = ad.add(z_prev, ad.scale(shift, 1.0 / self.heads))
-        return self._mask_columns(z, mask)
+            return ad.segment_bias(z_prev, context, seg)
+        shift = None
+        for head in range(self.heads):
+            modulated = ad.segment_scale(
+                self._modulator_node(nodes, l, head, base), context, seg, head
+            )
+            shift = modulated if shift is None else ad.add(shift, modulated)
+        return ad.add(z_prev, ad.scale(shift, 1.0 / self.heads))
 
-    def utilities_node(self, nodes, features: np.ndarray, mask: np.ndarray) -> Node:
-        """Tape forward; returns a slots-length utility column."""
-        features, mask = self._check_inputs(features, mask)
-        base = self.embed_node(nodes, features, mask)
-        z = base
+    def utilities_node(self, nodes, blocks, states: list | None = None) -> tuple[Node, np.ndarray]:
+        """Tape forward of a batch of observations as one column block.
+
+        ``blocks`` holds one (features, mask) pair per observation.  The
+        real slots of all of them are the columns of one tape; dummy slots
+        are never computed.  Returns the (slots x observations) utility
+        matrix, zero at dummy slots, and its real-slot mask.  When
+        ``states`` is a list, the representations z0, ..., zL of the real
+        slots (d x C) are appended to it.
+        """
+        checked = [self._check_inputs(features, mask) for features, mask in blocks]
+        seg = ad.Segments([mask for _, mask in checked])
+        x = ad.constant(np.concatenate([f[:, mask] for f, mask in checked], axis=1))
+        z = base = self.embed_node(nodes, x)
+        if states is not None:
+            states.append(z)
         for l in range(self.depth):
-            z = self.layer_node(nodes, l, z, base, mask)
-        return ad.transpose(ad.matmul(nodes["readout"], z))
+            z = self.layer_node(nodes, l, z, base, seg)
+            if states is not None:
+                states.append(z)
+        return ad.scatter_slots(ad.matmul(nodes["readout"], z), seg), seg.mask
 
     # -- public surface ------------------------------------------------------------
 
-    def embed(self, features, mask) -> np.ndarray:
-        features, mask = self._check_inputs(np.asarray(features, float), mask)
-        nodes = self.make_param_nodes(trainable=False)
-        return self.embed_node(nodes, features, mask).value
-
     def layer_states(self, features, mask) -> list[np.ndarray]:
-        """Representations [z0, z1, ..., zL] for inspection."""
-        features, mask = self._check_inputs(np.asarray(features, float), mask)
-        nodes = self.make_param_nodes(trainable=False)
-        base = self.embed_node(nodes, features, mask)
-        states = [base.value]
-        z = base
-        for l in range(self.depth):
-            z = self.layer_node(nodes, l, z, base, mask)
-            states.append(z.value)
-        return states
+        """Representations [z0, z1, ..., zL] for inspection; dummy columns read 0."""
+        states: list[Node] = []
+        _, slots = self.utilities_node(
+            self.make_param_nodes(trainable=False), [(features, mask)], states
+        )
+        out = []
+        for z in states:
+            padded = np.zeros((self.embed_dim, slots.shape[0]))
+            padded[:, slots[:, 0]] = z.value
+            out.append(padded)
+        return out
+
+    def embed(self, features, mask) -> np.ndarray:
+        return self.layer_states(features, mask)[0]
 
     def forward(self, features, mask) -> UtilityVector:
-        features, mask = self._check_inputs(np.asarray(features, float), mask)
-        nodes = self.make_param_nodes(trainable=False)
-        u = self.utilities_node(nodes, features, mask)
-        values = np.full(mask.size, -np.inf)
-        values[mask] = u.value[mask, 0]
-        return UtilityVector(values, mask)
+        u, slots = self.utilities_node(
+            self.make_param_nodes(trainable=False), [(features, mask)]
+        )
+        return UtilityVector(np.where(slots[:, 0], u.value[:, 0], -np.inf), slots[:, 0])
 
     def probabilities(self, features, mask) -> np.ndarray:
         return choice_probabilities(self.forward(features, mask))
@@ -244,24 +266,11 @@ class FeaturedModel:
     def chosen_slot(self, obs) -> int:
         return obs.chosen_slot
 
-    def _slot_mask(self, observations) -> np.ndarray:
-        """Real slots of the observations as columns; narrower ones pad with masked rows."""
-        rows = max(obs.choice_set.width for obs in observations)
-        mask = np.zeros((rows, len(observations)), dtype=bool)
-        for g, obs in enumerate(observations):
-            mask[: obs.choice_set.width, g] = obs.choice_set.mask
-        return mask
-
     def utilities_and_mask(self, nodes, observations) -> tuple[Node, np.ndarray]:
-        """Tape utilities and slot masks of the observations, as columns.
-
-        One forward per observation, joined side by side.
-        """
-        mask = self._slot_mask(observations)
-        columns = [
-            self.utilities_node(nodes, obs.features, obs.choice_set.mask) for obs in observations
-        ]
-        return ad.join_columns(columns, mask.shape[0]), mask
+        """Tape utilities and slot masks of the observations, one batch as columns."""
+        return self.utilities_node(
+            nodes, [(obs.features, obs.choice_set.mask) for obs in observations]
+        )
 
     def loss_node(self, nodes, observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)
@@ -269,15 +278,18 @@ class FeaturedModel:
     def predict(self, observations) -> tuple[np.ndarray, np.ndarray]:
         """(slots x observations) probabilities and the real-slot mask.
 
-        Each observation's tape is dropped as soon as its utilities are
-        read, so memory does not grow with the number of observations.
+        Runs ``PREDICT_BLOCK`` observations per tape and drops each tape
+        once its utilities are read.
         """
         nodes = self.make_param_nodes(trainable=False)
-        mask = self._slot_mask(observations)
-        values = np.zeros(mask.shape)
-        for g, obs in enumerate(observations):
-            u = self.utilities_node(nodes, obs.features, obs.choice_set.mask)
-            values[: obs.choice_set.width, g] = u.value[:, 0]
+        rows = max(obs.choice_set.width for obs in observations)
+        values = np.zeros((rows, len(observations)))
+        mask = np.zeros(values.shape, dtype=bool)
+        for lo in range(0, len(observations), PREDICT_BLOCK):
+            block = observations[lo : lo + PREDICT_BLOCK]
+            u, slots = self.utilities_and_mask(nodes, block)
+            values[: slots.shape[0], lo : lo + len(block)] = u.value
+            mask[: slots.shape[0], lo : lo + len(block)] = slots
         return column_probabilities(values, mask), mask
 
     # -- serialization ------------------------------------------------------------
@@ -303,6 +315,7 @@ class FeaturedModel:
             raise ValueError(f"expected kind '{cls.kind}', got {payload.get('kind')!r}")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {payload.get('format_version')}")
+        check_header(payload, ("d_x", "d", "H", "L", "sigma", "variant"), "weights")
         model = cls(
             payload["d_x"],
             payload["d"],
@@ -314,10 +327,13 @@ class FeaturedModel:
             layer_norm=payload.get("layer_norm", True),
         )
         weights = payload["weights"]
-        if set(weights) != set(model.params):
-            raise ValueError("weight groups do not match the declared architecture")
-        for name in model.params:
-            model.params[name] = np.array(weights[name], dtype=float)
+        unmatched = sorted(set(model.params) ^ set(weights))
+        if unmatched:
+            name = unmatched[0]
+            state = "is missing" if name in model.params else "is not in the declared architecture"
+            raise ValueError(f"weight group '{name}' {state}")
+        for name, declared in model.params.items():
+            model.params[name] = weight_group(name, weights[name], declared.shape)
         return model
 
     def save(self, path) -> None:
@@ -334,7 +350,7 @@ class CatalogSetModel:
     """Set-utility view of a featured model over a fixed item catalog.
 
     Items are identified by their column in ``item_features``; evaluating
-    a subset builds the padded feature matrix for exactly those items.
+    a subset builds the feature matrix of exactly those items.
     This is the bridge that lets halo extraction run on feature-based
     models (one-hot catalogs recover the featureless reading).
     """
@@ -351,10 +367,5 @@ class CatalogSetModel:
 
     def set_utilities(self, ids) -> np.ndarray:
         ids = check_ids(ids, self.universe)
-        width = self.universe
-        x = np.zeros((self.model.feature_dim, width))
-        mask = np.zeros(width, dtype=bool)
-        for slot, item in enumerate(ids):
-            x[:, slot] = self.item_features[:, item]
-            mask[slot] = True
-        return self.model.forward(x, mask).values[: len(ids)]
+        x = self.item_features[:, list(ids)]
+        return self.model.forward(x, np.ones(len(ids), dtype=bool)).values

@@ -93,6 +93,34 @@ def check_ids(ids, universe: int) -> tuple[int, ...]:
     return ids
 
 
+def check_header(payload: dict, keys, groups: str) -> None:
+    """Raise naming the first of ``keys`` that a model file lacks.
+
+    ``groups`` names the key that maps weight-group names to matrices.
+    """
+    for key in keys + (groups,):
+        if key not in payload:
+            raise ValueError(f"model file is missing header key '{key}'")
+    if not isinstance(payload[groups], dict):
+        raise ValueError(f"model file '{groups}' must map weight-group names to matrices")
+
+
+def weight_group(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A model file's weight group as an array, checked against its declared shape."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"weight group '{name}' is not a numeric matrix") from None
+    if arr.shape != shape:
+        raise ValueError(
+            f"weight group '{name}' has shape {arr.shape}; "
+            f"the declared architecture needs {shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"weight group '{name}' has non-finite entries")
+    return arr
+
+
 def _identity_block(universe: int, width: int) -> np.ndarray:
     block = np.zeros((universe, width))
     block[:, :universe] = np.eye(universe)
@@ -364,6 +392,7 @@ class FeaturelessModel:
             raise ValueError(f"expected kind '{cls.kind}', got {payload.get('kind')!r}")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {payload.get('format_version')}")
+        check_header(payload, ("J", "J_prime", "L", "activation"), "matrices")
         model = cls(
             payload["J"],
             payload["J_prime"],
@@ -375,16 +404,19 @@ class FeaturelessModel:
             interactions_trainable=payload.get("interactions_trainable", True),
         )
         matrices = payload["matrices"]
-        for i in range(model.depth):
+
+        def load(name, declared):
+            if name not in matrices:
+                raise ValueError(f"model file is missing weight group '{name}'")
+            return weight_group(name, matrices[name], declared.shape)
+
+        for i, layer in enumerate(model.layers):
             if model.rank is None:
-                model.layers[i] = np.array(matrices[f"layer{i}"], dtype=float)
+                model.layers[i] = load(f"layer{i}", layer)
             else:
-                model.layers[i] = (
-                    np.array(matrices[f"layer{i}.left"], dtype=float),
-                    np.array(matrices[f"layer{i}.right"], dtype=float),
-                )
+                model.layers[i] = (load(f"layer{i}.left", layer[0]), load(f"layer{i}.right", layer[1]))
         if model.output_mode != "identity":
-            model.readout = np.array(matrices["readout"], dtype=float)
+            model.readout = load("readout", model.readout)
         return model
 
     def save(self, path) -> None:

@@ -196,6 +196,9 @@ COLUMN_MASK = np.array(
     [[True, False, True], [True, True, False], [False, True, True], [True, False, False]]
 )
 
+# Three observations: real slots {0, 2} of 3, {0} of 1 and {1, 2, 3} of 4.
+SEGMENTS = ad.Segments([[True, False, True], [True], [False, True, True, True]])
+
 FD_CASES = [
     ("matmul", lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
     ("hadamard", lambda a, b: ad.hadamard(a, b), [(3, 3), (3, 3)]),
@@ -210,8 +213,13 @@ FD_CASES = [
     ("log_softmax", lambda a: ad.masked_log_softmax(a, [True, True, True, False]), [(4, 1)]),
     ("softmax_columns", lambda a: ad.masked_softmax(a, COLUMN_MASK), [(4, 3)]),
     ("log_softmax_columns", lambda a: ad.masked_log_softmax(a, COLUMN_MASK), [(4, 3)]),
-    ("join_columns", lambda a, b: ad.join_columns([a, b], 4), [(2, 1), (3, 1)]),
     ("scale_by", lambda a, s: ad.scale_by(a, s), [(3, 2), (1, 1)]),
+    ("segment_sum", lambda a: ad.segment_sum(a, SEGMENTS), [(3, 6)]),
+    ("segment_mean", lambda a: ad.segment_mean(a, SEGMENTS), [(3, 6)]),
+    ("segment_scale", lambda a, s: ad.segment_scale(a, s, SEGMENTS, 1), [(3, 6), (2, 3)]),
+    ("segment_bias", lambda a, b: ad.segment_bias(a, b, SEGMENTS), [(3, 6), (3, 3)]),
+    ("scatter_slots", lambda u: ad.scatter_slots(u, SEGMENTS), [(1, 6)]),
+    ("layer_norm_wide", lambda a, g, b: ad.layer_norm(a, g, b), [(16, 5), (16, 1), (16, 1)]),
 ]
 
 
@@ -331,17 +339,114 @@ class TestColumnSoftmax:
             ad.masked_softmax(ad.constant(np.zeros((3, 2))), [True, True, False])
 
 
-def test_join_columns_pads_with_zero_rows():
-    a = ad.parameter(np.array([[1.0], [2.0]]))
-    b = ad.parameter(np.array([[3.0], [4.0], [5.0]]))
-    joined = ad.join_columns([a, b], 4)
-    np.testing.assert_array_equal(joined.value, [[1.0, 3.0], [2.0, 4.0], [0.0, 5.0], [0.0, 0.0]])
-    weight = np.arange(8.0).reshape(4, 2)
-    ad.backward(ad.sum_all(ad.hadamard(joined, ad.constant(weight))))
-    np.testing.assert_array_equal(a.grad, weight[:2, :1])
-    np.testing.assert_array_equal(b.grad, weight[:3, 1:])
-    with pytest.raises(ad.DimensionError):
-        ad.join_columns([b], 2)
+class TestSegments:
+    """Per-observation ops over a column block of real slots."""
+
+    def test_layout(self):
+        np.testing.assert_array_equal(SEGMENTS.owner, [0, 0, 1, 2, 2, 2])
+        np.testing.assert_array_equal(SEGMENTS.slot, [0, 2, 0, 1, 2, 3])
+        np.testing.assert_array_equal(SEGMENTS.counts, [2, 1, 3])
+        assert SEGMENTS.mask.shape == (4, 3)
+        assert SEGMENTS.mask[:, 1].tolist() == [True, False, False, False]
+
+    def test_reductions_equal_one_observation_sums(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 6)) * 10.0 ** rng.integers(-8, 8, size=(3, 6))
+        summed = ad.segment_sum(ad.constant(a), SEGMENTS).value
+        mean = ad.segment_mean(ad.constant(a), SEGMENTS).value
+        for b, mask in enumerate(([True, False, True], [True], [False, True, True, True])):
+            cols = SEGMENTS.owner == b
+            padded = np.zeros((3, len(mask)))
+            padded[:, mask] = a[:, cols]
+            alone = ad.sum_over_columns(ad.constant(padded), mask).value[:, 0]
+            assert np.array_equal(summed[:, b], alone)
+            assert np.array_equal(mean[:, b], ad.mean_over_columns(ad.constant(padded), mask).value[:, 0])
+
+    def test_scale_gradient_equals_scale_by(self):
+        rng = np.random.default_rng(6)
+        a, s, g = rng.normal(size=(3, 6)), rng.normal(size=(2, 3)), rng.normal(size=(3, 6))
+        an, sn = ad.parameter(a), ad.parameter(s)
+        out = ad.segment_scale(an, sn, SEGMENTS, 1)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(g))))
+        assert np.all(sn.grad[0] == 0.0)
+        for b in range(3):
+            cols = SEGMENTS.owner == b
+            ab, fb = ad.parameter(a[:, cols]), ad.parameter(s[1:, b : b + 1])
+            alone = ad.scale_by(ab, fb)
+            assert np.array_equal(out.value[:, cols], alone.value)
+            ad.backward(ad.sum_all(ad.hadamard(alone, ad.constant(g[:, cols]))))
+            assert np.array_equal(an.grad[:, cols], ab.grad)
+            assert sn.grad[1, b] == fb.grad[0, 0]
+
+    def test_scatter_places_real_slots(self):
+        u = ad.constant(np.arange(1.0, 7.0).reshape(1, 6))
+        np.testing.assert_array_equal(
+            ad.scatter_slots(u, SEGMENTS).value,
+            [[1.0, 3.0, 0.0], [0.0, 0.0, 4.0], [2.0, 0.0, 5.0], [0.0, 0.0, 6.0]],
+        )
+
+    def test_shape_errors(self):
+        with pytest.raises(ad.DegenerateSetError, match="no real slot"):
+            ad.Segments([[True], [False, False]])
+        with pytest.raises(ad.DimensionError):
+            ad.Segments([])
+        with pytest.raises(ad.DimensionError):
+            ad.segment_sum(ad.constant(np.ones((2, 5))), SEGMENTS)
+        with pytest.raises(ad.DimensionError):
+            ad.segment_scale(ad.constant(np.ones((2, 6))), ad.constant(np.ones((2, 3))), SEGMENTS, 2)
+        with pytest.raises(ad.DimensionError):
+            ad.segment_bias(ad.constant(np.ones((2, 6))), ad.constant(np.ones((2, 2))), SEGMENTS)
+        with pytest.raises(ad.DimensionError):
+            ad.scatter_slots(ad.constant(np.ones((2, 6))), SEGMENTS)
+
+
+def test_layer_norm_column_is_the_same_alone_and_beside_others():
+    """A column's value and input gradient do not depend on its neighbours
+    (``ndarray.mean`` sums pairwise on one column and sequentially on more)."""
+    rng = np.random.default_rng(8)
+    gain, bias = rng.normal(size=(16, 1)), rng.normal(size=(16, 1))
+    for trial in range(200):
+        width = 1 + trial % 8
+        a = rng.normal(size=(16, width)) * 10.0 ** rng.integers(-3, 4, size=(1, width))
+        g = rng.normal(size=(16, width))
+        wide = ad.parameter(a)
+        out = ad.layer_norm(wide, ad.constant(gain), ad.constant(bias))
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(g))))
+        for j in range(width):
+            alone = ad.parameter(a[:, j : j + 1])
+            one = ad.layer_norm(alone, ad.constant(gain), ad.constant(bias))
+            ad.backward(ad.sum_all(ad.hadamard(one, ad.constant(g[:, j : j + 1]))))
+            assert np.array_equal(out.value[:, j : j + 1], one.value)
+            assert np.array_equal(wide.grad[:, j : j + 1], alone.grad)
+
+
+class TestLazyGradients:
+    def test_constant_forward_allocates_no_gradients(self):
+        x = ad.constant(np.ones((3, 2)))
+        w = ad.constant(np.full((2, 3), 0.5))
+        out = ad.sum_all(ad.relu(ad.matmul(w, x)))
+        tape = ad._topo_order(out)
+        assert len(tape) == 5 and all(node._grad is None for node in tape)
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 3)))
+        assert w._grad is None
+
+    def test_unreached_parameter_reads_zeros_and_accumulation_repeats(self):
+        a = ad.parameter([[1.0, -2.0]])
+        unused = ad.parameter([[3.0]])
+        out = ad.sum_all(ad.elementwise_square(a))
+        ad.backward(out)
+        assert unused._grad is None
+        np.testing.assert_array_equal(unused.grad, [[0.0]])
+        held = a.grad
+        np.testing.assert_array_equal(held, [[2.0, -4.0]])
+        ad.backward(out)
+        np.testing.assert_array_equal(held, [[4.0, -8.0]])
+        assert a.grad is held
+
+    def test_first_accumulation_normalises_negative_zero(self):
+        a = ad.parameter([[0.0]])
+        ad.backward(ad.scale(a, -0.0))
+        assert np.signbit(a.grad[0, 0]) == np.signbit((np.zeros(1) + -0.0)[0])
 
 
 class TestMatmulBudget:

@@ -244,6 +244,64 @@ class TestEval:
                    "--items", str(items), "-o", str(out)) == 0
 
 
+def _featured_inputs(tmp_path):
+    items = tmp_path / "items.csv"
+    items.write_text("item_id,f1\n0,0.5\n1,-0.25\n2,1.0\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("set,choice\n0;1,0\n0;1;2,2\n")
+    return items, obs
+
+
+def _broken_embed(payload):
+    payload["weights"]["embed.w2"] = [[0.1, 0.2], [0.3, 0.4]]
+
+
+def _nan_readout(payload):
+    payload["weights"]["readout"][0][0] = float("nan")
+
+
+def _no_feature_dim(payload):
+    del payload["d_x"]
+
+
+class TestModelFileValidation:
+    """A malformed model file fails at load with a message naming what is wrong."""
+
+    @pytest.mark.parametrize("corrupt,named", [
+        (_broken_embed, "'embed.w2' has shape (2, 2)"),
+        (_nan_readout, "'readout' has non-finite entries"),
+        (_no_feature_dim, "missing header key 'd_x'"),
+    ], ids=["shape", "nan", "header"])
+    def test_featured_eval_names_the_group(self, tmp_path, capsys, corrupt, named):
+        items, obs = _featured_inputs(tmp_path)
+        payload = FeaturedModel(1, 4, 1, 1, seed=0).to_json()
+        corrupt(payload)
+        model = tmp_path / "feat.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(model), "--data", str(obs),
+                   "--items", str(items), "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error" and named in manifest["error"]
+
+    def test_featureless_eval_names_the_group(self, tmp_path, capsys, beverage_csv):
+        payload = FeaturelessModel.deephalo(4, width=6, depth=2, seed=1).to_json()
+        payload["matrices"]["layer1"] = np.zeros((6, 4)).tolist()
+        model = tmp_path / "fl.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(model), "--data", str(beverage_csv),
+                   "-o", str(out))
+        assert code == 1
+        assert "'layer1' has shape (6, 4)" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+
 class TestHalo:
     def test_beverage_table_shape(self, tmp_path, trained_model):
         out = tmp_path / "alpha.csv"

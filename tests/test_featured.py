@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from deephalo.featured import CatalogSetModel, FeaturedModel
+from deephalo import autodiff as ad
+from deephalo import data as dat
+from deephalo.featured import PREDICT_BLOCK, CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel, choice_probabilities
 
 from test_featureless import invert_effects
@@ -310,3 +312,140 @@ class TestCatalogIds:
         x[:, :2] = catalog.item_features[:, [3, 0]]
         expected = catalog.model.forward(x, np.arange(4) < 2).values[:2]
         assert np.array_equal(u, expected)
+
+
+# -- batched forwards ------------------------------------------------------------
+
+
+def _scattered_observations(rng, d_x, count):
+    """Observations of widths 1-6 whose real slots sit anywhere, dummies between."""
+    blocks = []
+    for _ in range(count):
+        width = int(rng.integers(1, 7))
+        mask = rng.random(width) < 0.6
+        mask[rng.integers(width)] = True
+        x = np.zeros((d_x, width))
+        x[:, mask] = rng.normal(size=(d_x, int(mask.sum())))
+        blocks.append((x, mask))
+    return blocks
+
+
+@pytest.mark.parametrize("variant", ["heads", "resnet"])
+@pytest.mark.parametrize("aggregation", ["mean", "sum"])
+@pytest.mark.parametrize("sigma", ["identity", "quadratic"])
+def test_batched_columns_equal_one_observation_forwards(sigma, aggregation, variant):
+    """Each column of a batched forward is the observation's forward alone, bit for bit."""
+    rng = np.random.default_rng(31)
+    m = FeaturedModel(3, 5, 3, 2, sigma=sigma, aggregation=aggregation, variant=variant, seed=4)
+    blocks = _scattered_observations(rng, 3, 12)
+    assert any(np.any(~mask[:-1] & mask[1:]) for _, mask in blocks)  # a dummy before a real slot
+    assert any(mask.sum() == 1 for _, mask in blocks)
+    nodes = m.make_param_nodes(trainable=False)
+    u, slots = m.utilities_node(nodes, blocks)
+    assert slots.shape == (max(mask.size for _, mask in blocks), len(blocks))
+    for b, (x, mask) in enumerate(blocks):
+        alone = m.forward(x, mask)
+        assert np.array_equal(slots[: mask.size, b], mask) and not slots[mask.size :, b].any()
+        assert np.array_equal(u.value[: mask.size, b][mask], alone.values[mask])
+        assert np.all(u.value[~slots[:, b], b] == 0.0)
+        # Trailing padding of any width leaves the utilities unchanged.
+        wide = np.zeros((3, mask.size + 3))
+        wide[:, : mask.size] = x
+        padded = m.forward(wide, np.concatenate([mask, np.zeros(3, dtype=bool)]))
+        assert np.array_equal(padded.values[: mask.size], alone.values)
+
+
+def test_predict_blocks_equal_one_observation_probabilities():
+    rng = np.random.default_rng(32)
+    m = FeaturedModel(3, 5, 2, 2, sigma="quadratic", seed=6)
+    m.params["readout"] *= 40.0
+    observations = []
+    for _ in range(2 * PREDICT_BLOCK + 5):
+        width = int(rng.integers(1, 7))
+        x, mask = random_inputs(rng, 3, int(rng.integers(1, width + 1)), width)
+        cs = dat.ChoiceSet(tuple(range(int(mask.sum()))), width)
+        observations.append(dat.Observation(cs, 0, x))
+    probs, mask = m.predict(observations)
+    for g, obs in enumerate(observations):
+        want = m.probabilities(obs.features, obs.choice_set.mask)
+        assert np.array_equal(probs[: want.size, g], want)
+        assert np.array_equal(mask[: want.size, g], obs.choice_set.mask)
+        assert not mask[want.size :, g].any() and np.all(probs[want.size :, g] == 0.0)
+
+
+@pytest.mark.parametrize("variant", ["heads", "resnet"])
+def test_permuting_a_batch_gives_equal_parameter_gradients(variant):
+    rng = np.random.default_rng(33)
+    m = FeaturedModel(3, 4, 2, 2, sigma="quadratic", variant=variant, seed=7)
+    blocks = _scattered_observations(rng, 3, 9)
+
+    def gradients(order):
+        nodes = m.make_param_nodes(trainable=True)
+        u, slots = m.utilities_node(nodes, [blocks[i] for i in order])
+        weight = np.zeros(slots.shape)
+        for b, i in enumerate(order):
+            weight[np.flatnonzero(slots[:, b])[0], b] = 1.0 + i  # a chosen slot and count
+        loss = ad.sum_all(ad.hadamard(ad.masked_log_softmax(u, slots), ad.constant(weight)))
+        ad.backward(loss)
+        return loss.value, {name: nodes[name].grad for name in m.params}
+
+    loss, grads = gradients(range(len(blocks)))
+    for trial in range(5):
+        moved_loss, moved = gradients(rng.permutation(len(blocks)))
+        assert np.array_equal(moved_loss, loss)
+        for name, grad in grads.items():
+            assert np.array_equal(moved[name], grad), name
+
+
+def test_observation_without_real_slot_rejected():
+    m = FeaturedModel(2, 3, 1, 1, seed=0)
+    with pytest.raises(ad.DegenerateSetError, match="no real slot"):
+        m.forward(np.zeros((2, 3)), [False, False, False])
+
+
+# -- model files -----------------------------------------------------------------
+
+
+class TestModelFileValidation:
+    def payload(self):
+        return FeaturedModel(3, 4, 2, 2, seed=1).to_json()
+
+    def test_wrong_shape_names_group(self):
+        payload = self.payload()
+        payload["weights"]["embed.w2"] = np.ones((2, 2)).tolist()
+        with pytest.raises(ValueError, match=r"'embed.w2' has shape \(2, 2\).*\(4, 4\)"):
+            FeaturedModel.from_json(payload)
+
+    def test_non_finite_entry_names_group(self):
+        payload = self.payload()
+        payload["weights"]["readout"][0][1] = float("nan")
+        with pytest.raises(ValueError, match="'readout' has non-finite entries"):
+            FeaturedModel.from_json(payload)
+
+    def test_ragged_group_names_group(self):
+        payload = self.payload()
+        payload["weights"]["layer1.agg"] = [[1.0, 2.0], [3.0]]
+        with pytest.raises(ValueError, match="'layer1.agg' is not a numeric matrix"):
+            FeaturedModel.from_json(payload)
+
+    def test_missing_header_key_named(self):
+        payload = self.payload()
+        del payload["d_x"]
+        with pytest.raises(ValueError, match="missing header key 'd_x'"):
+            FeaturedModel.from_json(payload)
+
+    def test_weights_must_be_an_object(self):
+        payload = self.payload()
+        payload["weights"] = [1.0]
+        with pytest.raises(ValueError, match="'weights' must map weight-group names"):
+            FeaturedModel.from_json(payload)
+
+    def test_missing_and_extra_groups_named(self):
+        payload = self.payload()
+        del payload["weights"]["layer0.head1.b"]
+        with pytest.raises(ValueError, match="'layer0.head1.b' is missing"):
+            FeaturedModel.from_json(payload)
+        payload = self.payload()
+        payload["weights"]["layer9.agg"] = [[0.0]]
+        with pytest.raises(ValueError, match="'layer9.agg' is not in the declared"):
+            FeaturedModel.from_json(payload)

@@ -337,6 +337,28 @@ class TestSerialization:
                 n for n, _ in m.trainables()
             ]
 
+    def test_wrong_shape_names_group(self):
+        payload = FeaturelessModel(3, 5, 2, "linear", rank=2, seed=6).to_json()
+        payload["matrices"]["layer1.right"] = np.zeros((2, 3)).tolist()
+        with pytest.raises(ValueError, match=r"'layer1.right' has shape \(2, 3\).*\(2, 5\)"):
+            FeaturelessModel.from_json(payload)
+
+    def test_non_finite_entry_names_group(self):
+        payload = FeaturelessModel.mnl(3).to_json()
+        payload["matrices"]["readout"][1][0] = float("inf")
+        with pytest.raises(ValueError, match="'readout' has non-finite entries"):
+            FeaturelessModel.from_json(payload)
+
+    def test_missing_group_and_header_key_named(self):
+        payload = FeaturelessModel.cmnl(3).to_json()
+        del payload["matrices"]["layer0"]
+        with pytest.raises(ValueError, match="missing weight group 'layer0'"):
+            FeaturelessModel.from_json(payload)
+        payload = FeaturelessModel.cmnl(3).to_json()
+        del payload["J_prime"]
+        with pytest.raises(ValueError, match="missing header key 'J_prime'"):
+            FeaturelessModel.from_json(payload)
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FeaturelessModel.from_json({"kind": "featured", "format_version": 1})

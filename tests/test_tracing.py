@@ -8,6 +8,8 @@ catches that in the suite.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
@@ -15,7 +17,7 @@ if str(BENCH) not in sys.path:
 import tracing  # noqa: E402
 
 from deephalo import data as dat  # noqa: E402
-from deephalo import halo, training  # noqa: E402
+from deephalo import featured, halo, training  # noqa: E402
 from deephalo.featureless import FeaturelessModel  # noqa: E402
 
 
@@ -43,4 +45,34 @@ def test_tracer_counts_one_forward_per_batch_and_restores_hooks():
     assert sets > 0
     assert counts["featureless.utilities_node.calls"] == 4 + 3 + sets
     assert counts["autodiff.exact_matmul.calls"] > 0
+    assert _hooks() == before
+
+
+def test_tracer_counts_featured_batches_predict_blocks_and_halo_forwards():
+    before = _hooks()
+    rng = np.random.default_rng(3)
+    observations = []
+    for i in range(40):
+        real = 2 + i % 3
+        x = np.zeros((2, 4))
+        x[:, :real] = rng.normal(size=(2, real))
+        observations.append(dat.Observation(dat.ChoiceSet(tuple(range(real)), 4), i % real, x))
+    ds = dat.Dataset(observations, universe=4, feature_dim=2)
+    model = featured.FeaturedModel(2, 4, 2, 2, seed=1)
+    cfg = training.TrainConfig(max_epochs=2, batch_size=16, seed=0)
+    catalog = featured.CatalogSetModel(model, rng.normal(size=(2, 4)))
+    with tracing.Tracer() as tracer:
+        training.train(model, ds, cfg)
+        training.evaluate(model, ds)
+        halo.full_relative_table(catalog, 1)
+    counts = tracer.counts
+    blocks = -(-len(observations) // featured.PREDICT_BLOCK)
+    # Three batches an epoch; the 40 distinct observations are predicted in
+    # blocks once an epoch for validation and once for the evaluation.
+    assert counts["training.adam_step.calls"] == 6
+    assert counts["featured.predict.calls"] == 3
+    forwards = counts["halo.forward.calls"]
+    assert forwards > 0 and counts["featured.forward.calls"] == forwards
+    assert counts["featured.utilities_node.calls"] == 6 + 3 * blocks + forwards
+    assert counts["autodiff.masked_log_softmax.calls"] == 6
     assert _hooks() == before
