@@ -19,7 +19,7 @@ from . import __version__
 from . import data as dat
 from . import halo as hal
 from . import training as trn
-from .featureless import FeaturelessModel
+from .featureless import FeaturelessModel, check_object
 from .featured import FeaturedModel
 
 log = logging.getLogger("deephalo")
@@ -316,6 +316,7 @@ EVAL_DEFAULTS = {
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    check_object(payload)
     kind = payload.get("kind")
     if kind == "featureless":
         return FeaturelessModel.from_json(payload)

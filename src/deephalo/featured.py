@@ -38,6 +38,9 @@ from . import autodiff as ad
 from . import training
 from .autodiff import Node
 from .featureless import (
+    FLAG,
+    NAME,
+    SIZE,
     UtilityVector,
     check_header,
     check_ids,
@@ -311,11 +314,14 @@ class FeaturedModel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FeaturedModel":
-        if payload.get("kind") != cls.kind:
-            raise ValueError(f"expected kind '{cls.kind}', got {payload.get('kind')!r}")
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {payload.get('format_version')}")
-        check_header(payload, ("d_x", "d", "H", "L", "sigma", "variant"), "weights")
+        check_header(
+            payload,
+            cls.kind,
+            FORMAT_VERSION,
+            {"d_x": SIZE, "d": SIZE, "H": SIZE, "L": SIZE, "sigma": NAME, "variant": NAME},
+            {"aggregation": NAME, "layer_norm": FLAG},
+            "weights",
+        )
         model = cls(
             payload["d_x"],
             payload["d"],
@@ -365,7 +371,31 @@ class CatalogSetModel:
         self.item_features = item_features
         self.universe = item_features.shape[1]
 
+    def _block(self, ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Features and all-real mask of the checked offered set ``ids``."""
+        return self.item_features[:, list(ids)], np.ones(len(ids), dtype=bool)
+
     def set_utilities(self, ids) -> np.ndarray:
-        ids = check_ids(ids, self.universe)
-        x = self.item_features[:, list(ids)]
-        return self.model.forward(x, np.ones(len(ids), dtype=bool)).values
+        """Utilities aligned with ``ids`` order (halo-extraction hook).
+
+        One set is one :meth:`FeaturedModel.forward`, so a traced run counts
+        each per-set halo forward as a featured forward.
+        """
+        return self.model.forward(*self._block(check_ids(ids, self.universe))).values
+
+    def batch_set_utilities(self, sets) -> list[np.ndarray]:
+        """:meth:`set_utilities` of each set, ``PREDICT_BLOCK`` sets per tape.
+
+        A column of a tape equals the set's own forward bit for bit.  Each
+        tape's inputs are built just before it runs and its utilities are
+        copied into one matrix, so that one block's tape is held at a time
+        and nothing of it outlives the block.
+        """
+        sets = [check_ids(ids, self.universe) for ids in sets]
+        values = np.zeros((max(map(len, sets), default=0), len(sets)))
+        nodes = self.model.make_param_nodes(trainable=False)
+        for lo in range(0, len(sets), PREDICT_BLOCK):
+            block = sets[lo : lo + PREDICT_BLOCK]
+            u, _ = self.model.utilities_node(nodes, [self._block(ids) for ids in block])
+            values[: u.shape[0], lo : lo + len(block)] = u.value
+        return [values[: len(ids), g] for g, ids in enumerate(sets)]

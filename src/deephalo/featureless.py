@@ -93,14 +93,49 @@ def check_ids(ids, universe: int) -> tuple[int, ...]:
     return ids
 
 
-def check_header(payload: dict, keys, groups: str) -> None:
-    """Raise naming the first of ``keys`` that a model file lacks.
+# Header value types of a model file.  ``bool`` is a subclass of ``int``,
+# so a size is checked to be no boolean as well.
+SIZE, NAME, FLAG, NULL = (int,), (str,), (bool,), (type(None),)
+_TYPE_WORDS = {int: "an integer", str: "a string", bool: "true or false", type(None): "null"}
 
-    ``groups`` names the key that maps weight-group names to matrices.
+
+def check_object(payload) -> None:
+    """Raise unless a model file's payload is a JSON object."""
+    if not isinstance(payload, dict):
+        found = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise ValueError(
+            f"model file must hold a JSON object, got {found.get(type(payload), 'a number')}"
+        )
+
+
+def check_header(
+    payload, kind: str, version: int, required: dict, optional: dict, groups: str
+) -> None:
+    """Raise naming the first header key that a model file lacks or mistypes.
+
+    The payload must be a JSON object of ``kind`` and format ``version``.
+    ``required`` and ``optional`` map header keys to their allowed types
+    (``SIZE``, ``NAME``, ``FLAG``, optionally with ``NULL``); an optional
+    key may be absent.  ``groups`` names the key that maps weight-group
+    names to matrices.
     """
-    for key in keys + (groups,):
+    check_object(payload)
+    if payload.get("kind") != kind:
+        raise ValueError(f"expected kind '{kind}', got {payload.get('kind')!r}")
+    if payload.get("format_version") != version:
+        raise ValueError(f"unsupported format version {payload.get('format_version')}")
+    for key in tuple(required) + (groups,):
         if key not in payload:
             raise ValueError(f"model file is missing header key '{key}'")
+    for key, types in {**required, **optional}.items():
+        value = payload.get(key)
+        if key in payload and (
+            not isinstance(value, types) or isinstance(value, bool) != (bool in types)
+        ):
+            allowed = " or ".join(_TYPE_WORDS[t] for t in types)
+            raise ValueError(
+                f"model file header key '{key}' must be {allowed}, got {json.dumps(value)}"
+            )
     if not isinstance(payload[groups], dict):
         raise ValueError(f"model file '{groups}' must map weight-group names to matrices")
 
@@ -321,8 +356,13 @@ class FeaturelessModel:
 
     def set_utilities(self, ids) -> np.ndarray:
         """Utilities aligned with ``ids`` order (halo-extraction hook)."""
-        ids = check_ids(ids, self.universe)
-        return self.forward(ids).values[list(ids)]
+        return self.batch_set_utilities([ids])[0]
+
+    def batch_set_utilities(self, sets) -> list[np.ndarray]:
+        """:meth:`set_utilities` of each set, all sets as columns of one tape."""
+        sets = [check_ids(ids, self.universe) for ids in sets]
+        u, _ = self.utilities_node(self.make_param_nodes(trainable=False), sets)
+        return [u.value[list(ids), g] for g, ids in enumerate(sets)]
 
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))
@@ -388,11 +428,19 @@ class FeaturelessModel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FeaturelessModel":
-        if payload.get("kind") != cls.kind:
-            raise ValueError(f"expected kind '{cls.kind}', got {payload.get('kind')!r}")
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {payload.get('format_version')}")
-        check_header(payload, ("J", "J_prime", "L", "activation"), "matrices")
+        check_header(
+            payload,
+            cls.kind,
+            FORMAT_VERSION,
+            {"J": SIZE, "J_prime": SIZE, "L": SIZE, "activation": NAME},
+            {
+                "rank_H": SIZE + NULL,
+                "output_mode": NAME,
+                "first_layer_residual": FLAG,
+                "interactions_trainable": FLAG,
+            },
+            "matrices",
+        )
         model = cls(
             payload["J"],
             payload["J_prime"],

@@ -1,9 +1,12 @@
 """Exact extraction of context effects from a trained set-utility model.
 
 Any model exposing ``universe`` and ``set_utilities(ids)`` can be
-analyzed.  The marginal contribution of a source subset ``T`` to item
-``j``'s utility is recovered by alternating-sign inversion over the
-Boolean lattice:
+analyzed.  A model may also offer ``batch_set_utilities(sets)``, which
+returns the utilities of many offered sets from one call (the bundled
+models run them as columns of a few tapes); without it every offered set
+gets its own ``set_utilities`` call.  The marginal contribution of a
+source subset ``T`` to item ``j``'s utility is recovered by
+alternating-sign inversion over the Boolean lattice:
 
     effect(j, T) = sum over R subset of T of (-1)^(|T|-|R|) u_j(R + {j})
 
@@ -16,17 +19,18 @@ softmax gauge; the *relative* effect of ``T`` on an ordered pair (j, k)
 
 cancels that gauge and is what gets tabulated and rendered.
 
-All effects come from one routine: a forward pass per distinct offered
-set, then the fast Moebius transform (Kennes & Smets, "Computational
-aspects of the Moebius transformation", UAI 1990), which turns the
-alternating sums for every source set at once into one in-place
-butterfly step per item id.  Subset enumeration is exponential by design,
-guarded by explicit caps rather than sampling.
+All effects come from one routine: the utilities of every distinct
+offered set, then the fast Moebius transform (Kennes & Smets,
+"Computational aspects of the Moebius transformation", UAI 1990), which
+turns the alternating sums for every source set at once into one
+in-place butterfly step per item id.  Subset enumeration is exponential
+by design, guarded by explicit caps rather than sampling.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Protocol
@@ -44,9 +48,29 @@ class EnumerationCapError(ValueError):
 
 
 class SetUtilityModel(Protocol):
+    """What halo extraction needs of a model.
+
+    ``set_utilities(ids)`` returns the utilities of the offered set
+    ``ids``, aligned with the order of ``ids``.  A model may also define
+    ``batch_set_utilities(sets)``, returning one such array per set; when
+    it does, extraction asks for all the offered sets of a call at once,
+    and otherwise it calls ``set_utilities`` once per distinct set.
+    """
+
     universe: int
 
     def set_utilities(self, ids) -> np.ndarray: ...
+
+
+def _set_utilities(model: SetUtilityModel, sets: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Utilities of each offered set, from one batched call when the model has one."""
+    batch = getattr(model, "batch_set_utilities", None)
+    if batch is None:
+        return [model.set_utilities(ids) for ids in sets]
+    values = batch(sets)
+    if len(values) != len(sets):
+        raise ValueError(f"batch_set_utilities gave {len(values)} arrays for {len(sets)} sets")
+    return values
 
 
 def _as_source(item: int, source) -> tuple[int, ...]:
@@ -85,8 +109,10 @@ def _effects(
     full ``max_size`` is kept for item j only if it holds one of
     ``partners[j]``.  Cells outside that hold NaN.
 
-    One forward runs per distinct offered set S + {j}.  The alternating
-    sums are then one fast Moebius transform: for each ground id b in
+    The first pass records, for each distinct offered set S + {j}, the
+    cells that read it; the utilities of all those sets then come from one
+    :func:`_set_utilities` call and fill the cells.  The alternating sums
+    are then one fast Moebius transform: for each ground id b in
     ascending order, every subset holding b loses the value of the same
     subset without b.  A cell reads only subsets of its own source, so a
     valid cell never reads a NaN one, and its value comes out of the same
@@ -94,22 +120,45 @@ def _effects(
     """
     subsets = [s for size in range(max_size + 1) for s in combinations(ground, size)]
     cols = {s: c for c, s in enumerate(subsets)}
-    effects = np.full((len(items), len(subsets)), np.nan)
-    forwards: dict[tuple[int, ...], np.ndarray] = {}
+    width = len(subsets)
+    # Each valid cell, as a flat index into ``effects``, reads slot ``slots``
+    # of the offered set numbered ``set_no`` in ``numbers``.
+    numbers: dict[tuple[int, ...], int] = {}
+    cells: list[int] = []
+    set_no: list[int] = []
+    slots: list[int] = []
     for c, src in enumerate(subsets):
         full = len(src) == max_size and partners is not None
         for r, j in enumerate(items):
             if j in src or (full and partners[j].isdisjoint(src)):
                 continue
-            offered = _with(src, j)
-            values = forwards.get(offered)
-            if values is None:
-                values = forwards[offered] = model.set_utilities(offered)
-            effects[r, c] = values[offered.index(j)]
+            slot = bisect_left(src, j)
+            offered = src[:slot] + (j,) + src[slot:]
+            cells.append(r * width + c)
+            set_no.append(numbers.setdefault(offered, len(numbers)))
+            slots.append(slot)
+    effects = np.full((len(items), width), np.nan)
+    if cells:
+        offered_sets = list(numbers)
+        values = _set_utilities(model, offered_sets)
+        for ids, vals in zip(offered_sets, values):
+            if np.shape(vals) != (len(ids),):
+                raise ValueError(
+                    f"utilities of offered set {ids} have shape {np.shape(vals)}, "
+                    f"expected ({len(ids)},)"
+                )
+        # Every set's utilities end to end; a cell reads its set's start + slot.
+        starts = np.cumsum([0] + [len(ids) for ids in offered_sets])
+        effects.flat[cells] = np.concatenate(values)[starts[set_no] + slots]
+    # The subsets holding each ground id b, and the same subsets without b.
+    has: dict[int, list[int]] = {b: [] for b in ground}
+    without: dict[int, list[int]] = {b: [] for b in ground}
+    for c, src in enumerate(subsets):
+        for pos, b in enumerate(src):
+            has[b].append(c)
+            without[b].append(cols[src[:pos] + src[pos + 1 :]])
     for b in ground:
-        has = [c for c, src in enumerate(subsets) if b in src]
-        without = [cols[tuple(i for i in subsets[c] if i != b)] for c in has]
-        effects[:, has] -= effects[:, without]
+        effects[:, has[b]] -= effects[:, without[b]]
     return cols, effects
 
 
@@ -127,8 +176,9 @@ def marginal_effect(
 ) -> float:
     """Marginal utility contribution of ``source`` to ``item``.
 
-    Exact inversion over all subsets of the source set, one model forward
-    per subset.  Bit-identical to the same entry of any table.
+    Exact inversion over all subsets of the source set, the model's
+    utilities read once per offered subset.  Bit-identical to the same
+    entry of any table.
     """
     src = _as_source(item, source)
     _check_cap(len(src), cap, f"marginal effect of {src} on item {item}")

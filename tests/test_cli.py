@@ -288,6 +288,27 @@ class TestModelFileValidation:
         manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
         assert manifest["status"] == "error" and named in manifest["error"]
 
+    @pytest.mark.parametrize("command", ["eval", "halo"])
+    @pytest.mark.parametrize("payload,named", [
+        ([{"kind": "featureless"}], "model file must hold a JSON object, got an array"),
+        (dict(FeaturedModel(1, 4, 1, 1).to_json(), d="4"),
+         "model file header key 'd' must be an integer, got \"4\""),
+        (dict(FeaturelessModel.cmnl(3).to_json(), L=2.5),
+         "model file header key 'L' must be an integer, got 2.5"),
+        (dict(FeaturelessModel.cmnl(3).to_json(), J_prime=None),
+         "model file header key 'J_prime' must be an integer, got null"),
+    ], ids=["list", "string-size", "float-size", "null-size"])
+    def test_malformed_header_exits_1(self, tmp_path, capsys, command, payload, named):
+        _, obs = _featured_inputs(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out.csv"
+        args = ["--data", str(obs)] if command == "eval" else []
+        assert run(command, "--model-file", str(model), *args, "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+
     def test_featureless_eval_names_the_group(self, tmp_path, capsys, beverage_csv):
         payload = FeaturelessModel.deephalo(4, width=6, depth=2, seed=1).to_json()
         payload["matrices"]["layer1"] = np.zeros((6, 4)).tolist()

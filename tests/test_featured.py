@@ -1,6 +1,7 @@
 """Feature-based model: embedding, layers, equivariance, reductions."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -433,6 +434,25 @@ class TestModelFileValidation:
         del payload["d_x"]
         with pytest.raises(ValueError, match="missing header key 'd_x'"):
             FeaturedModel.from_json(payload)
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("d", "4", "'d' must be an integer, got \"4\""),
+        ("H", 2.0, "'H' must be an integer, got 2.0"),
+        ("d_x", False, "'d_x' must be an integer, got false"),
+        ("sigma", None, "'sigma' must be a string, got null"),
+        ("variant", ["heads"], "'variant' must be a string, got [\"heads\"]"),
+        ("aggregation", 0, "'aggregation' must be a string, got 0"),
+        ("layer_norm", "yes", "'layer_norm' must be true or false, got \"yes\""),
+    ])
+    def test_mistyped_header_key_named(self, key, value, named):
+        payload = self.payload()
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"header key {re.escape(named)}$"):
+            FeaturedModel.from_json(payload)
+
+    def test_payload_must_be_an_object(self):
+        with pytest.raises(ValueError, match="must hold a JSON object, got a string"):
+            FeaturedModel.from_json("featured")
 
     def test_weights_must_be_an_object(self):
         payload = self.payload()

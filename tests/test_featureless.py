@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -362,3 +363,23 @@ class TestSerialization:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FeaturelessModel.from_json({"kind": "featured", "format_version": 1})
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("J", "4", "'J' must be an integer, got \"4\""),
+        ("L", 2.5, "'L' must be an integer, got 2.5"),
+        ("J_prime", None, "'J_prime' must be an integer, got null"),
+        ("L", True, "'L' must be an integer, got true"),
+        ("rank_H", "2", "'rank_H' must be an integer or null, got \"2\""),
+        ("activation", 1, "'activation' must be a string, got 1"),
+        ("output_mode", None, "'output_mode' must be a string, got null"),
+        ("first_layer_residual", 0, "'first_layer_residual' must be true or false, got 0"),
+    ])
+    def test_mistyped_header_key_named(self, key, value, named):
+        payload = FeaturelessModel.deephalo(3, width=4, rank=2).to_json()
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"header key {re.escape(named)}$"):
+            FeaturelessModel.from_json(payload)
+
+    def test_payload_must_be_an_object(self):
+        with pytest.raises(ValueError, match="must hold a JSON object, got an array"):
+            FeaturelessModel.from_json([FeaturelessModel.mnl(3).to_json()])

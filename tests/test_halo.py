@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deephalo import data as dat
-from deephalo.featured import CatalogSetModel, FeaturedModel
+from deephalo.featured import PREDICT_BLOCK, CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import (
     EnumerationCapError,
@@ -354,6 +354,140 @@ class TestForwardCount:
         with pytest.raises(ValueError):
             relative_halo(m, 0, 1, (1,))
         assert m.calls == []
+
+
+class SetUtilitiesOnly:
+    """Exposes only ``universe`` and ``set_utilities``: the per-set path."""
+
+    def __init__(self, inner):
+        self.universe = inner.universe
+        self.set_utilities = inner.set_utilities
+
+
+def _featureless(activation, output_mode, rank):
+    rng = np.random.default_rng(41)
+    m = FeaturelessModel(5, 7, 3, activation, rank=rank, output_mode=output_mode, seed=3)
+    if rank is None:
+        m.layers = [rng.normal(0, 0.4, size=l.shape) for l in m.layers]
+    else:
+        m.layers = [tuple(rng.normal(0, 0.6, size=f.shape) for f in l) for l in m.layers]
+    if m.readout is not None:
+        m.readout = rng.normal(1.0, 0.5, size=m.readout.shape)
+    return m
+
+
+def _catalog(variant, aggregation):
+    featured = FeaturedModel(3, 4, 2, 2, variant=variant, aggregation=aggregation, seed=12)
+    return CatalogSetModel(featured, np.random.default_rng(13).normal(size=(3, 6)))
+
+
+def _assert_batched_equals_per_set(m):
+    n = m.universe
+    one = SetUtilitiesOnly(m)
+    assert full_relative_table(m, n - 2).entries == full_relative_table(one, n - 2).entries
+    assert full_relative_table(m, 1, pairs=[(0, 3)]).entries == (
+        full_relative_table(one, 1, pairs=[(0, 3)]).entries
+    )
+    assert full_context_table(m, n - 1).entries == full_context_table(one, n - 1).entries
+    rest = tuple(range(2, n))
+    assert marginal_effect(m, 0, rest) == marginal_effect(one, 0, rest)
+    assert relative_halo(m, 1, 0, rest) == relative_halo(one, 1, 0, rest)
+    assert reconstruct_utility(m, 1, range(n)) == reconstruct_utility(one, 1, range(n))
+
+
+class TestBatchedForwards:
+    """A model's ``batch_set_utilities`` gives the per-set path's tables bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["linear", "quadratic"])
+    @pytest.mark.parametrize("output_mode", ["dense", "identity", "diagonal"])
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_featureless_equals_per_set(self, activation, output_mode, rank):
+        _assert_batched_equals_per_set(_featureless(activation, output_mode, rank))
+
+    @pytest.mark.parametrize("variant", ["heads", "resnet"])
+    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
+    def test_catalog_equals_per_set(self, variant, aggregation):
+        m = _catalog(variant, aggregation)
+        # The tables read all 63 nonempty subsets: more than two full tapes.
+        assert 2 ** m.universe - 1 > 2 * PREDICT_BLOCK
+        _assert_batched_equals_per_set(m)
+
+    def test_batch_aligned_with_id_order(self):
+        for m in (_featureless("quadratic", "dense", None), _catalog("heads", "mean")):
+            sets = [(4, 0, 2), (1,), (3, 1), (0, 1, 2, 3, 4)]
+            for ids, values in zip(sets, m.batch_set_utilities(sets)):
+                np.testing.assert_array_equal(values, m.set_utilities(ids))
+                order = sorted(range(len(ids)), key=ids.__getitem__)
+                np.testing.assert_array_equal(
+                    values[order], m.set_utilities(tuple(sorted(ids)))
+                )
+
+    def test_misshapen_utilities_rejected(self):
+        class Short:
+            """Its batch drops the first set."""
+
+            universe = 3
+
+            def set_utilities(self, ids):
+                return np.zeros(len(ids))
+
+            def batch_set_utilities(self, sets):
+                return [np.zeros(len(ids)) for ids in sets[1:]]
+
+        class Wide:
+            """Returns a universe-wide vector, not one aligned with the set."""
+
+            universe = 3
+
+            def set_utilities(self, ids):
+                return np.zeros(3)
+
+        with pytest.raises(ValueError, match="gave 6 arrays for 7 sets"):
+            full_context_table(Short(), 2)
+        with pytest.raises(ValueError, match=r"set \(0,\) have shape \(3,\), expected \(1,\)"):
+            full_context_table(Wide(), 1)
+
+
+class TestTapeCount:
+    """Halo forwards run as few tapes as the model allows."""
+
+    def _count(self, monkeypatch, cls):
+        calls = []
+        inner = cls.utilities_node
+
+        def counted(model, nodes, columns, *rest):
+            calls.append(len(columns))
+            return inner(model, nodes, columns, *rest)
+
+        monkeypatch.setattr(cls, "utilities_node", counted)
+        return calls
+
+    def test_featureless_table_is_one_tape(self, monkeypatch):
+        m = _featureless("quadratic", "dense", None)
+        calls = self._count(monkeypatch, FeaturelessModel)
+        full_relative_table(m, 3)
+        assert calls == [2 ** 5 - 1]
+        calls.clear()
+        full_context_table(m, 1)
+        assert calls == [5 + 10]
+
+    def test_catalog_table_is_one_tape_per_block(self, monkeypatch):
+        m = _catalog("heads", "sum")
+        calls = self._count(monkeypatch, FeaturedModel)
+        full_relative_table(m, 4)
+        sets = 2 ** 6 - 1
+        assert len(calls) == math.ceil(sets / PREDICT_BLOCK)
+        assert sum(calls) == sets and max(calls) == PREDICT_BLOCK
+
+    @pytest.mark.parametrize("make", [
+        lambda: _featureless("linear", "diagonal", 2), lambda: _catalog("resnet", "mean"),
+    ], ids=["featureless", "catalog"])
+    def test_set_utilities_only_runs_one_tape_per_set(self, monkeypatch, make):
+        m = make()
+        calls = self._count(monkeypatch, type(getattr(m, "model", m)))
+        full_relative_table(SetUtilitiesOnly(m), 2)
+        n = m.universe
+        assert calls == [1] * sum(math.comb(n, s) for s in range(1, 5))
 
 
 class TestExport:
