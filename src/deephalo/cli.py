@@ -109,7 +109,12 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             if alias in file_conf and target in defaults:
                 file_conf[target] = file_conf.pop(alias)
         if "lr_schedule" in file_conf and "lr2" in defaults:
-            rate1, rate2, switch = file_conf.pop("lr_schedule")
+            schedule = file_conf.pop("lr_schedule")
+            if not isinstance(schedule, list) or len(schedule) != 3:
+                raise UsageError(
+                    f"config key 'lr_schedule' must be [rate1, rate2, switch_epoch], got {schedule!r}"
+                )
+            rate1, rate2, switch = schedule
             file_conf.setdefault("lr", rate1)
             file_conf.setdefault("lr2", rate2)
             file_conf.setdefault("lr_switch", switch)

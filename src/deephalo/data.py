@@ -307,9 +307,15 @@ def save_split_manifest(splits: dict[str, list[int]], path) -> None:
 
 
 def load_split_manifest(path) -> dict[str, list[int]]:
+    """Split names to observation indices; each error names the file and the split."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {k: [int(i) for i in v] for k, v in raw.items()}
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{path}: a split manifest must map split names to index lists")
+    for name, idx in raw.items():
+        if not isinstance(idx, list) or any(type(i) is not int for i in idx):
+            raise DataFormatError(f"{path}: split '{name}' must be a list of integers")
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ context vector itself back to every alternative.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import autodiff as ad
@@ -41,6 +39,7 @@ from .featureless import (
     FLAG,
     NAME,
     SIZE,
+    ParameterStore,
     UtilityVector,
     check_header,
     check_ids,
@@ -51,8 +50,8 @@ from .featureless import (
 
 FORMAT_VERSION = 1
 
-# Observations per forward-only tape in ``predict``: bounds the tape held
-# at once, so peak memory does not grow with the number of observations.
+# Configurations per forward-only tape in ``predict`` and catalog halo forwards:
+# bounds the tape held at once, so peak memory does not grow with their number.
 PREDICT_BLOCK = 16
 
 SIGMAS = ("identity", "quadratic")
@@ -72,7 +71,7 @@ def _uniform_bias(rng, rows: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, 1))
 
 
-class FeaturedModel:
+class FeaturedModel(ParameterStore):
     kind = "featured"
 
     def __init__(
@@ -142,16 +141,6 @@ class FeaturedModel:
     def make_param_nodes(self, trainable: bool = True) -> dict[str, Node]:
         wrap = ad.parameter if trainable else ad.constant
         return {name: wrap(arr) for name, arr in self.params.items()}
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [arr.copy() for _, arr in self.trainables()]
-
-    def restore(self, snap) -> None:
-        for (_, arr), saved in zip(self.trainables(), snap):
-            arr[...] = saved
-
-    def parameter_count(self) -> int:
-        return sum(arr.size for arr in self.params.values())
 
     # -- forward pieces ----------------------------------------------------------
 
@@ -257,42 +246,43 @@ class FeaturedModel:
     def probabilities(self, features, mask) -> np.ndarray:
         return choice_probabilities(self.forward(features, mask))
 
+    def _blocked_utilities(self, configs, rows: int, block=lambda pair: pair):
+        """(rows x configurations) utilities and real-slot mask, ``PREDICT_BLOCK`` per tape.
+
+        ``block(config)`` gives a configuration's (features, mask) pair, built
+        just before its tape runs; each tape is dropped once its utilities are
+        copied out.  A column equals the pair's own forward bit for bit.
+        """
+        nodes = self.make_param_nodes(trainable=False)
+        values = np.zeros((rows, len(configs)))
+        real = np.zeros(values.shape, dtype=bool)
+        for lo in range(0, len(configs), PREDICT_BLOCK):
+            chunk = [block(config) for config in configs[lo : lo + PREDICT_BLOCK]]
+            u, slots = self.utilities_node(nodes, chunk)
+            values[: slots.shape[0], lo : lo + slots.shape[1]] = u.value
+            real[: slots.shape[0], lo : lo + slots.shape[1]] = slots
+        return values, real
+
     # -- training hooks ------------------------------------------------------------
-    # Grouping and the loss head live in ``training``; a row of a utility
-    # column, and so ``chosen_slot``, is a slot.
+    # Grouping and the loss head live in ``training``.  A configuration is
+    # the (features, mask) pair, and an observation's row in its utility
+    # column is the chosen slot.
 
     def group_key(self, obs):
         if obs.features is None:
             raise ValueError("featured model requires observations with features")
-        return (obs.features.tobytes(), obs.choice_set.mask.tobytes())
-
-    def chosen_slot(self, obs) -> int:
-        return obs.chosen_slot
-
-    def utilities_and_mask(self, nodes, observations) -> tuple[Node, np.ndarray]:
-        """Tape utilities and slot masks of the observations, one batch as columns."""
-        return self.utilities_node(
-            nodes, [(obs.features, obs.choice_set.mask) for obs in observations]
-        )
+        mask = obs.choice_set.mask
+        return (obs.features.tobytes(), mask.tobytes()), (obs.features, mask), obs.chosen_slot
 
     def loss_node(self, nodes, observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)
 
-    def predict(self, observations) -> tuple[np.ndarray, np.ndarray]:
-        """(slots x observations) probabilities and the real-slot mask.
+    def predict(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """(slots x configurations) probabilities and the real-slot mask.
 
-        Runs ``PREDICT_BLOCK`` observations per tape and drops each tape
-        once its utilities are read.
+        ``blocks`` holds one (features, mask) pair per configuration.
         """
-        nodes = self.make_param_nodes(trainable=False)
-        rows = max(obs.choice_set.width for obs in observations)
-        values = np.zeros((rows, len(observations)))
-        mask = np.zeros(values.shape, dtype=bool)
-        for lo in range(0, len(observations), PREDICT_BLOCK):
-            block = observations[lo : lo + PREDICT_BLOCK]
-            u, slots = self.utilities_and_mask(nodes, block)
-            values[: slots.shape[0], lo : lo + len(block)] = u.value
-            mask[: slots.shape[0], lo : lo + len(block)] = slots
+        values, mask = self._blocked_utilities(blocks, max(np.size(m) for _, m in blocks))
         return column_probabilities(values, mask), mask
 
     # -- serialization ------------------------------------------------------------
@@ -342,15 +332,6 @@ class FeaturedModel:
             model.params[name] = weight_group(name, weights[name], declared.shape)
         return model
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "FeaturedModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 class CatalogSetModel:
     """Set-utility view of a featured model over a fixed item catalog.
@@ -384,18 +365,8 @@ class CatalogSetModel:
         return self.model.forward(*self._block(check_ids(ids, self.universe))).values
 
     def batch_set_utilities(self, sets) -> list[np.ndarray]:
-        """:meth:`set_utilities` of each set, ``PREDICT_BLOCK`` sets per tape.
-
-        A column of a tape equals the set's own forward bit for bit.  Each
-        tape's inputs are built just before it runs and its utilities are
-        copied into one matrix, so that one block's tape is held at a time
-        and nothing of it outlives the block.
-        """
+        """:meth:`set_utilities` of each set, ``PREDICT_BLOCK`` sets per tape."""
         sets = [check_ids(ids, self.universe) for ids in sets]
-        values = np.zeros((max(map(len, sets), default=0), len(sets)))
-        nodes = self.model.make_param_nodes(trainable=False)
-        for lo in range(0, len(sets), PREDICT_BLOCK):
-            block = sets[lo : lo + PREDICT_BLOCK]
-            u, _ = self.model.utilities_node(nodes, [self._block(ids) for ids in block])
-            values[: u.shape[0], lo : lo + len(block)] = u.value
+        rows = max(map(len, sets), default=0)
+        values, _ = self.model._blocked_utilities(sets, rows, self._block)
         return [values[: len(ids), g] for g, ids in enumerate(sets)]

@@ -156,13 +156,36 @@ def weight_group(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+class ParameterStore:
+    """Bookkeeping both models share, built on ``trainables``, ``to_json`` and ``from_json``."""
+
+    def snapshot(self) -> list[np.ndarray]:
+        return [arr.copy() for _, arr in self.trainables()]
+
+    def restore(self, snap: list[np.ndarray]) -> None:
+        for (_, arr), saved in zip(self.trainables(), snap):
+            arr[...] = saved
+
+    def parameter_count(self) -> int:
+        return sum(arr.size for _, arr in self.trainables())
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json(), fh, sort_keys=True)
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json(json.load(fh))
+
+
 def _identity_block(universe: int, width: int) -> np.ndarray:
     block = np.zeros((universe, width))
     block[:, :universe] = np.eye(universe)
     return block
 
 
-class FeaturelessModel:
+class FeaturelessModel(ParameterStore):
     """Interaction-order-controlled utility model over an indexed universe.
 
     Parameters are plain float64 arrays mutated in place by the optimizer;
@@ -367,38 +390,22 @@ class FeaturelessModel:
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))
 
-    def set_probabilities(self, sets) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, sets) -> tuple[np.ndarray, np.ndarray]:
         """(universe x sets) probabilities, one offered set per column, and the mask."""
         u, mask = self.utilities_node(self.make_param_nodes(trainable=False), sets)
         return column_probabilities(u.value, mask), mask
 
     # -- training hooks --------------------------------------------------------
-    # Grouping and the loss head live in ``training``; a row of a utility
-    # column, and so ``chosen_slot``, is an item id.
+    # Grouping and the loss head live in ``training``.  A configuration is
+    # the sorted offered set, and an observation's row in its utility
+    # column is the chosen item id.
 
     def group_key(self, obs):
-        return tuple(sorted(obs.choice_set.items))
-
-    def chosen_slot(self, obs) -> int:
-        return obs.chosen
-
-    def utilities_and_mask(self, nodes: dict[str, Node], observations) -> tuple[Node, np.ndarray]:
-        """Tape utilities and mask of the observations' offered sets, as columns."""
-        return self.utilities_node(nodes, [obs.choice_set.items for obs in observations])
+        ids = tuple(sorted(obs.choice_set.items))
+        return ids, ids, obs.chosen
 
     def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)
-
-    def predict(self, observations) -> tuple[np.ndarray, np.ndarray]:
-        """(universe x observations) probabilities and the offered-item mask."""
-        return self.set_probabilities([obs.choice_set.items for obs in observations])
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [arr.copy() for _, arr in self.trainables()]
-
-    def restore(self, snap: list[np.ndarray]) -> None:
-        for (_, arr), saved in zip(self.trainables(), snap):
-            arr[...] = saved
 
     # -- serialization ---------------------------------------------------------
 
@@ -466,15 +473,3 @@ class FeaturelessModel:
         if model.output_mode != "identity":
             model.readout = load("readout", model.readout)
         return model
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "FeaturelessModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-    def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.trainables())

@@ -37,7 +37,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import csv_rows
+from .data import DataFormatError, csv_rows
 
 MARGINAL_CAP = 12
 UNIVERSE_GUARD = 10
@@ -354,12 +354,19 @@ def read_halo_csv(path) -> RelativeHaloTable:
     entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
     comments: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for _, row in csv_rows(fh, comments):
+        for lineno, row in csv_rows(fh, comments):
             if row[0] == "pair_j":
                 continue
-            j, k = int(row[0]), int(row[1])
-            src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
-            entries[(j, k, src)] = float(row[3])
+            if len(row) != 4:
+                raise DataFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            try:
+                j, k = int(row[0]), int(row[1])
+                src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
+                entries[(j, k, src)] = float(row[3])
+            except ValueError:
+                raise DataFormatError(
+                    f"line {lineno}: ids must be integers and alpha a number, got {','.join(row)!r}"
+                ) from None
     for comment in comments:
         for token in comment.lstrip("#").split():
             key, _, value = token.partition("=")

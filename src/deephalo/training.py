@@ -164,23 +164,28 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 class Groups:
     """A split grouped once by ``model.group_key``.
 
-    ``representatives`` holds the first observation of each distinct key,
-    in sorted-key order; a group id is a position in that list.  For
-    observation ``i``, ``group[i]`` is its group id and ``row[i]`` is
-    ``model.chosen_slot``: its row in the model's utility column, the item
-    id for the featureless model and the slot for the featured one.
+    ``group_key(obs)`` gives ``(key, configuration, row)``: the
+    configuration is what the model reads (the sorted offered set, or the
+    (features, mask) pair), the row is the observation's row in that
+    configuration's utility column (the chosen item id, or the chosen
+    slot).  ``configs`` holds one configuration per distinct key, in
+    first-seen order; for observation ``i``, ``group[i]`` is its position
+    in ``configs`` and ``row[i]`` its row.  No result depends on the group
+    order, since every reduction over groups is a sorted sum or an fsum.
     """
 
     def __init__(self, model, observations):
-        keys = [model.group_key(obs) for obs in observations]
-        first: dict = {}
-        for key, obs in zip(keys, observations):
-            first.setdefault(key, obs)
-        ordered = sorted(first)
-        ids = {key: g for g, key in enumerate(ordered)}
-        self.representatives = [first[key] for key in ordered]
-        self.group = np.array([ids[key] for key in keys])
-        self.row = np.array([model.chosen_slot(obs) for obs in observations])
+        ids: dict = {}
+        self.configs, group, row = [], [], []
+        for obs in observations:
+            key, config, r = model.group_key(obs)
+            g = ids.setdefault(key, len(ids))
+            if g == len(self.configs):
+                self.configs.append(config)
+            group.append(g)
+            row.append(r)
+        self.group = np.array(group)
+        self.row = np.array(row)
         self.rows = int(self.row.max()) + 1
 
     def __len__(self) -> int:
@@ -188,7 +193,7 @@ class Groups:
 
     def counts(self, index=slice(None)) -> np.ndarray:
         """Groups x rows table counting the observations at ``index``."""
-        cells = len(self.representatives) * self.rows
+        cells = len(self.configs) * self.rows
         flat = self.group[index] * self.rows + self.row[index]
         return np.bincount(flat, minlength=cells).reshape(-1, self.rows)
 
@@ -210,7 +215,7 @@ def _loss_head(model, nodes, groups: Groups, table: np.ndarray, kind: str) -> ad
     if kind not in LOSSES:
         raise ValueError(f"unknown loss kind '{kind}'")
     used = np.flatnonzero(table.sum(axis=1))
-    u, mask = model.utilities_and_mask(nodes, [groups.representatives[g] for g in used])
+    u, mask = model.utilities_node(nodes, [groups.configs[g] for g in used])
     counts = _padded(table[used], mask.shape[0]).T
     if kind == "nll":
         logp = ad.masked_log_softmax(u, mask)
@@ -319,7 +324,7 @@ def _metrics(model, groups: Groups) -> Metrics:
     Each distinct (group, row) NLL term is computed once and repeated by
     its count, so the fsum sees the same summands as a per-observation sum.
     """
-    probs, mask = model.predict(groups.representatives)
+    probs, mask = model.predict(groups.configs)
     table = _padded(groups.counts(), mask.shape[0])
     nll_terms = []
     for g, row in zip(*np.nonzero(table)):
@@ -347,10 +352,15 @@ def rmse_vs_frequencies(model, table) -> float:
 
     Squared errors pool over every (set, slot) pair before the root.
     """
+    if model.kind == "featured":
+        raise ValueError(
+            "frequency RMSE needs a featureless model: a featured model's "
+            "probabilities depend on each observation's features"
+        )
     if not table:
         raise ValueError("empty frequency table")
     sets = [tuple(ids) for ids in table]
-    probs, mask = model.set_probabilities(sets)
+    probs, mask = model.predict(sets)
     sq_err = []
     for g, (ids, freq) in enumerate(zip(sets, table.values())):
         diff = probs[list(ids), g] - np.asarray(freq, dtype=float)

@@ -178,6 +178,25 @@ class TestTrain:
         assert len(rows) == 4
         assert rows[0].split(",")[3] == "0.1" and rows[-1].split(",")[3] == "0.01"
 
+    def test_short_lr_schedule_is_usage_error(self, tmp_path, capsys, beverage_csv):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"model": "mnl", "lr_schedule": [0.1, 0.01]}))
+        code = run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "-o", str(tmp_path / "m.json"))
+        assert code == 2
+        assert "lr_schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [[[0, 1]], {"train": [0, "a"]}])
+    def test_malformed_split_manifest_exits_1(self, tmp_path, capsys, beverage_csv, payload):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(payload))
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv), "--split", str(split),
+                   "--epochs", "1", "-o", str(out))
+        assert code == 1
+        assert str(split) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, beverage_csv):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"modell": "mnl"}))
@@ -360,6 +379,15 @@ class TestHalo:
         assert run("halo", "--render-only", str(alpha),
                    "--svg", str(svg_rendered)) == 0
         assert svg_direct.read_bytes() == svg_rendered.read_bytes()
+
+    @pytest.mark.parametrize("row", ["0,1", "0,x,,0.5"])
+    def test_render_only_malformed_row_exits_1(self, tmp_path, capsys, row):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text(f"# universe=2 max_order=0\npair_j,pair_k,source_set,alpha\n{row}\n")
+        svg = tmp_path / "alpha.svg"
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
+        assert "error: line 3:" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_negative_order_fails_without_table(self, tmp_path, trained_model):
         out = tmp_path / "alpha.csv"

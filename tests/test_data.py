@@ -1,5 +1,6 @@
 """Dataset parsing, validation, fixtures, and generators."""
 
+import json
 import math
 
 import numpy as np
@@ -289,6 +290,22 @@ class TestSplits:
         path = tmp_path / "s.json"
         dat.save_split_manifest(splits, path)
         assert dat.load_split_manifest(path) == splits
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([[0, 1]], "must map split names to index lists"),
+            ({"train": [0, "a"]}, "split 'train' must be a list of integers"),
+            ({"train": [0], "val": [True]}, "split 'val' must be a list of integers"),
+            ({"train": 3}, "split 'train' must be a list of integers"),
+        ],
+    )
+    def test_malformed_manifest_names_file_and_split(self, tmp_path, payload, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(dat.DataFormatError, match=message) as err:
+            dat.load_split_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_out_of_range_split_rejected(self):
         cs = dat.ChoiceSet((0, 1), 2)

@@ -366,7 +366,7 @@ def test_predict_blocks_equal_one_observation_probabilities():
         x, mask = random_inputs(rng, 3, int(rng.integers(1, width + 1)), width)
         cs = dat.ChoiceSet(tuple(range(int(mask.sum()))), width)
         observations.append(dat.Observation(cs, 0, x))
-    probs, mask = m.predict(observations)
+    probs, mask = m.predict([(obs.features, obs.choice_set.mask) for obs in observations])
     for g, obs in enumerate(observations):
         want = m.probabilities(obs.features, obs.choice_set.mask)
         assert np.array_equal(probs[: want.size, g], want)

@@ -223,7 +223,7 @@ def test_batched_columns_equal_one_set_forwards(activation, output_mode, rank, r
     sets = [sets[i] for i in rng.permutation(len(sets))]
     nodes = m.make_param_nodes(trainable=False)
     u, mask = m.utilities_node(nodes, sets)
-    probs, _ = m.set_probabilities(sets)
+    probs, _ = m.predict(sets)
     assert u.shape == mask.shape == probs.shape == (4, len(sets))
     for g, ids in enumerate(sets):
         one, one_mask = m.utilities_node(nodes, [ids])

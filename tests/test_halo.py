@@ -507,6 +507,21 @@ class TestExport:
         with pytest.raises(dat.DataFormatError, match="line 3:"):
             read_halo_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,2,", "line 4: expected 4 fields, got 3"),
+            ("0,x,,0.25", "line 4: ids must be integers"),
+            ("0,2,1;y,0.25", "line 4: ids must be integers"),
+            ("0,2,1,big", "line 4: .* alpha a number"),
+        ],
+    )
+    def test_csv_malformed_row_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "alpha.csv"
+        path.write_text(f"# universe=3 max_order=1\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n{row}\n")
+        with pytest.raises(dat.DataFormatError, match=message):
+            read_halo_csv(path)
+
     def test_svg_self_contained_and_deterministic(self, tmp_path):
         m = PlantedModel(3, seed=15)
         table = full_relative_table(m, max_order=1)

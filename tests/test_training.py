@@ -1,6 +1,7 @@
 """Losses, the optimizer, the training loop, and evaluation metrics."""
 
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -198,6 +199,11 @@ class TestEvaluate:
         m.layers = [np.zeros((2, 2))]  # uniform predictor
         table = {(0, 1): np.array([1.0, 0.0])}
         assert rmse_vs_frequencies(m, table) == pytest.approx(0.5)
+
+    def test_featured_model_has_no_set_frequencies(self):
+        m = FeaturedModel(1, 4, 1, 1, seed=0)
+        with pytest.raises(ValueError, match="depend on each observation's features"):
+            rmse_vs_frequencies(m, {(0, 1): np.array([0.5, 0.5])})
 
     def test_accuracy_tie_break_prefers_lowest_slot(self):
         m = FeaturelessModel(2, 2, 1, "linear", output_mode="identity")
@@ -441,6 +447,30 @@ class TestGroupingContract:
         assert history.digest() == ref_history.digest()
         for (_, got), (_, want) in zip(model.trainables(), ref_model.trainables()):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("loss", ["nll", "mse_onehot"])
+    @pytest.mark.parametrize("kind", ["featureless", "featured"])
+    def test_group_order_cannot_matter(self, kind, loss):
+        """Reversed observations number the groups in another order, with equal results."""
+        if kind == "featureless":
+            ds, model = _featureless_orders_dataset(), FeaturelessModel.deephalo(4, width=6, depth=2, seed=3)
+        else:
+            ds, model = _featured_repeats_dataset(), FeaturedModel(3, 4, 2, 2, seed=5)
+        reverse = dataclasses.replace(ds, observations=ds.observations[::-1])
+        twin = copy.deepcopy(model)
+
+        def first_seen(data):
+            return list(dict.fromkeys(model.group_key(obs)[0] for obs in data.observations))
+
+        assert first_seen(reverse) != first_seen(ds)
+        assert evaluate(model, reverse) == evaluate(model, ds)
+        cfg = TrainConfig(loss=loss, learning_rate=0.05, max_epochs=3, seed=2)
+        model, history = train(model, ds, cfg)
+        reverse_model, reverse_history = train(twin, reverse, cfg)
+        assert reverse_history.digest() == history.digest()
+        for (_, got), (_, want) in zip(reverse_model.trainables(), model.trainables()):
+            assert np.array_equal(got, want)
+        assert evaluate(reverse_model, reverse) == evaluate(model, ds)
 
 
 class TestLocatedErrors:
