@@ -90,6 +90,65 @@ class Manifest:
         return False
 
 
+# Every option of every subcommand, declared once: name -> (default, argparse
+# keywords).  The flag is --name with '-' for '_' (and -o for out); the table
+# order is the --help order and the order of the manifest's resolved config.
+OPTIONS = {
+    "gen": {
+        "fixture": (None, {"choices": ["beverage"]}),
+        "universe": (0, {"type": int}),
+        "set_size": (0, {"type": int}),
+        "sets": (0, {"type": int, "help": "0 enumerates every subset"}),
+        "n_per_set": (1000, {"type": int}),
+        "seed": (0, {"type": int}),
+        "out": (None, {}),
+        "truth_out": (None, {}),
+    },
+    "train": {
+        "model": (None, {"choices": MODEL_KINDS}),
+        "data": (None, {}),
+        "items": (None, {}),
+        "split": (None, {}),
+        "universe": (0, {"type": int}),
+        "depth": (2, {"type": int}),
+        "width": (0, {"type": int}),
+        "heads": (4, {"type": int}),
+        "activation": ("quadratic", {"choices": ["linear", "quadratic"]}),
+        "rank": ("full", {"help": "positive integer or 'full'"}),
+        "loss": ("nll", {"choices": list(trn.LOSSES)}),
+        "lr": (1e-3, {"type": float}),
+        "lr2": (0.0, {"type": float, "help": "second-phase learning rate"}),
+        "lr_switch": (0, {"type": int, "help": "epoch to switch"}),
+        "batch": (0, {"type": int}),
+        "epochs": (200, {"type": int}),
+        "patience": (0, {"type": int}),
+        "clip_norm": (0.0, {"type": float}),
+        "seed": (0, {"type": int}),
+        "threads": (1, {"type": int, "help": "accepted for compatibility; runs serial"}),
+        "out": (None, {}),
+        "history": (None, {}),
+    },
+    "eval": {
+        "model_file": (None, {}),
+        "data": (None, {}),
+        "items": (None, {}),
+        "split": (None, {}),
+        "truth": (None, {"help": "ground-truth probability table CSV"}),
+        "seed": (0, {"type": int}),
+        "out": ("metrics.json", {}),
+    },
+    "halo": {
+        "model_file": (None, {}),
+        "render_only": (None, {"help": "existing alpha CSV"}),
+        "max_order": (2, {"type": int}),
+        "pair": (None, {"help": "restrict to one pair, e.g. 1,2"}),
+        "svg": (None, {"help": "also render a heatmap SVG"}),
+        "force": (False, {"action": "store_const", "const": True}),
+        "seed": (0, {"type": int}),
+        "out": (None, {}),
+    },
+}
+
 # Training config files may use the TrainConfig field names directly.
 CONFIG_ALIASES = {
     "learning_rate": "lr",
@@ -98,17 +157,40 @@ CONFIG_ALIASES = {
 }
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicitly passed flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_conf = json.load(fh)
+def _check_config_value(name: str, value, default, keywords: dict) -> None:
+    """Raise unless a config-file value is one the option's flag could produce."""
+    if value is None and default is None:
+        return
+    if "choices" in keywords:
+        want, ok = f"one of {list(keywords['choices'])}", value in keywords["choices"]
+    elif "const" in keywords:
+        want, ok = "true or false", type(value) is bool
+    elif keywords.get("type") is int:
+        want, ok = "an integer", type(value) is int
+    elif keywords.get("type") is float:
+        want, ok = "a number", type(value) in (int, float)
+    elif name == "rank":
+        want, ok = "a string or an integer", type(value) in (str, int)
+    else:
+        want, ok = "a string", type(value) is str
+    if not ok:
+        raise UsageError(f"config key '{name}' must be {want}, got {json.dumps(value)}")
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicitly passed flags, all named in ``OPTIONS``."""
+    options = OPTIONS[args.command]
+    merged = {name: default for name, (default, _) in options.items()}
+    if args.config:
+        try:
+            file_conf = dat.read_json(args.config)
+            check_object(file_conf, f"config file {args.config}")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         for alias, target in CONFIG_ALIASES.items():
-            if alias in file_conf and target in defaults:
+            if alias in file_conf and target in options:
                 file_conf[target] = file_conf.pop(alias)
-        if "lr_schedule" in file_conf and "lr2" in defaults:
+        if "lr_schedule" in file_conf and "lr2" in options:
             schedule = file_conf.pop("lr_schedule")
             if not isinstance(schedule, list) or len(schedule) != 3:
                 raise UsageError(
@@ -118,14 +200,16 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             file_conf.setdefault("lr", rate1)
             file_conf.setdefault("lr2", rate2)
             file_conf.setdefault("lr_switch", switch)
-        unknown = set(file_conf) - set(defaults)
+        unknown = set(file_conf) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in file_conf.items():
+            _check_config_value(name, value, *options[name])
         merged.update(file_conf)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for name in options:
+        value = getattr(args, name)
         if value is not None:
-            merged[key] = value
+            merged[name] = value
     return merged
 
 
@@ -133,20 +217,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 # gen
 # ---------------------------------------------------------------------------
 
-GEN_DEFAULTS = {
-    "fixture": None,
-    "universe": 0,
-    "set_size": 0,
-    "sets": 0,
-    "n_per_set": 1000,
-    "seed": 0,
-    "out": None,
-    "truth_out": None,
-}
-
 
 def _cmd_gen(args) -> int:
-    conf = _merge_config(args, GEN_DEFAULTS)
+    conf = _merge_config(args)
     if not conf["out"]:
         raise UsageError("gen requires -o/--out")
     with Manifest("gen", conf, []) as manifest:
@@ -154,8 +227,6 @@ def _cmd_gen(args) -> int:
         if conf["n_per_set"] < 1:
             raise UsageError(f"--n-per-set must be at least 1, got {conf['n_per_set']}")
         if conf["fixture"]:
-            if conf["fixture"] != "beverage":
-                raise UsageError(f"unknown fixture '{conf['fixture']}'")
             if conf["universe"] or conf["set_size"]:
                 raise UsageError("--fixture conflicts with --universe/--set-size")
             table = dat.beverage_fixture()
@@ -182,31 +253,6 @@ def _cmd_gen(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "model": None,
-    "data": None,
-    "items": None,
-    "split": None,
-    "universe": 0,
-    "depth": 2,
-    "width": 0,
-    "heads": 4,
-    "activation": "quadratic",
-    "rank": "full",
-    "loss": "nll",
-    "lr": 1e-3,
-    "lr2": 0.0,
-    "lr_switch": 0,
-    "batch": 0,
-    "epochs": 200,
-    "patience": 0,
-    "clip_norm": 0.0,
-    "seed": 0,
-    "threads": 1,
-    "out": None,
-    "history": None,
-}
-
 
 def _build_model(conf: dict, dataset: dat.Dataset):
     kind = conf["model"]
@@ -216,7 +262,7 @@ def _build_model(conf: dict, dataset: dat.Dataset):
     if kind == "cmnl":
         return FeaturelessModel.cmnl(universe, seed=conf["seed"])
     if kind == "deephalo-fl":
-        rank = None if conf["rank"] in ("full", "", None) else int(conf["rank"])
+        rank = None if conf["rank"] in ("full", "") else int(conf["rank"])
         width = conf["width"] or universe
         return FeaturelessModel.deephalo(
             universe,
@@ -244,23 +290,28 @@ def _build_model(conf: dict, dataset: dat.Dataset):
     raise UsageError(f"unknown model kind '{kind}'; choose from {MODEL_KINDS}")
 
 
-def _load_dataset(conf: dict) -> dat.Dataset:
+def _load_dataset(conf: dict, split: str) -> dat.Dataset:
+    """The ``--data`` set, with the ``--split`` manifest's splits if given.
+
+    ``split`` names the split the command reads; the manifest must hold it.
+    """
     if conf["items"]:
         dataset = dat.load_featured_csv(conf["items"], conf["data"])
     else:
         dataset = dat.load_featureless_csv(conf["data"])
-    if conf.get("split"):
-        dataset = dataset.with_splits(dat.load_split_manifest(conf["split"]))
+    if conf["split"]:
+        splits = dat.load_split_manifest(conf["split"])
+        if split not in splits:
+            raise dat.DataFormatError(f"{conf['split']}: split manifest has no '{split}' split")
+        dataset = dataset.with_splits(splits)
     return dataset
 
 
 def _cmd_train(args) -> int:
-    conf = _merge_config(args, TRAIN_DEFAULTS)
+    conf = _merge_config(args)
     for required in ("model", "data", "out"):
         if not conf[required]:
             raise UsageError(f"train requires --{required.replace('_', '-')}")
-    if conf["model"] not in MODEL_KINDS:
-        raise UsageError(f"unknown model kind '{conf['model']}'")
     if conf["model"] != "deephalo-feat" and conf["items"]:
         raise UsageError("--items is only meaningful for deephalo-feat")
     with Manifest("train", conf, [conf["data"]]) as manifest:
@@ -269,7 +320,7 @@ def _cmd_train(args) -> int:
             raise UsageError(
                 f"--clip-norm must be non-negative (0 = no clipping), got {conf['clip_norm']}"
             )
-        dataset = _load_dataset(conf)
+        dataset = _load_dataset(conf, "train")
         model = _build_model(conf, dataset)
         schedule = None
         if conf["lr2"] and conf["lr_switch"]:
@@ -307,20 +358,9 @@ def _cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-EVAL_DEFAULTS = {
-    "model_file": None,
-    "data": None,
-    "items": None,
-    "split": None,
-    "truth": None,
-    "seed": 0,
-    "out": "metrics.json",
-}
-
 
 def _load_model(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = dat.read_json(path)
     check_object(payload)
     kind = payload.get("kind")
     if kind == "featureless":
@@ -331,7 +371,7 @@ def _load_model(path: str):
 
 
 def _cmd_eval(args) -> int:
-    conf = _merge_config(args, EVAL_DEFAULTS)
+    conf = _merge_config(args)
     for required in ("model_file", "data"):
         if not conf[required]:
             raise UsageError(f"eval requires --{required.replace('_', '-')}")
@@ -345,8 +385,8 @@ def _cmd_eval(args) -> int:
                 "--truth needs a featureless model: a featured model's "
                 "probabilities depend on each observation's features"
             )
-        dataset = _load_dataset(conf)
-        metrics = trn.evaluate(model, dataset, split=conf["split"])
+        dataset = _load_dataset(conf, "test")
+        metrics = trn.evaluate(model, dataset, split="test" if conf["split"] else None)
         payload = {
             "nll": metrics.nll,
             "accuracy": metrics.accuracy,
@@ -365,17 +405,6 @@ def _cmd_eval(args) -> int:
 # halo
 # ---------------------------------------------------------------------------
 
-HALO_DEFAULTS = {
-    "model_file": None,
-    "render_only": None,
-    "max_order": 2,
-    "pair": None,
-    "svg": None,
-    "force": False,
-    "seed": 0,
-    "out": None,
-}
-
 
 def _parse_pair(text: str) -> tuple[int, int]:
     """``"j,k"`` as the ordered pair (min, max) of two item ids."""
@@ -389,7 +418,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _cmd_halo(args) -> int:
-    conf = _merge_config(args, HALO_DEFAULTS)
+    conf = _merge_config(args)
     if conf["render_only"]:
         if not conf["svg"]:
             raise UsageError("--render-only needs --svg for its output")
@@ -434,66 +463,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"deephalo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate fixture or synthetic choice data")
-    gen.add_argument("--config")
-    gen.add_argument("--fixture", choices=["beverage"])
-    gen.add_argument("--universe", type=int)
-    gen.add_argument("--set-size", dest="set_size", type=int)
-    gen.add_argument("--sets", type=int, help="0 enumerates every subset")
-    gen.add_argument("--n-per-set", dest="n_per_set", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("-o", "--out")
-    gen.add_argument("--truth-out", dest="truth_out")
-    gen.set_defaults(handler=_cmd_gen)
-
-    train = sub.add_parser("train", help="fit a model to a dataset")
-    train.add_argument("--config")
-    train.add_argument("--model", choices=MODEL_KINDS)
-    train.add_argument("--data")
-    train.add_argument("--items")
-    train.add_argument("--split")
-    train.add_argument("--universe", type=int)
-    train.add_argument("--depth", type=int)
-    train.add_argument("--width", type=int)
-    train.add_argument("--heads", type=int)
-    train.add_argument("--activation", choices=["linear", "quadratic"])
-    train.add_argument("--rank", help="positive integer or 'full'")
-    train.add_argument("--loss", choices=list(trn.LOSSES))
-    train.add_argument("--lr", type=float)
-    train.add_argument("--lr2", type=float, help="second-phase learning rate")
-    train.add_argument("--lr-switch", dest="lr_switch", type=int, help="epoch to switch")
-    train.add_argument("--batch", type=int)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--patience", type=int)
-    train.add_argument("--clip-norm", dest="clip_norm", type=float)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--threads", type=int, help="accepted for compatibility; runs serial")
-    train.add_argument("-o", "--out")
-    train.add_argument("--history")
-    train.set_defaults(handler=_cmd_train)
-
-    ev = sub.add_parser("eval", help="evaluate a model file on a dataset")
-    ev.add_argument("--config")
-    ev.add_argument("--model-file", dest="model_file")
-    ev.add_argument("--data")
-    ev.add_argument("--items")
-    ev.add_argument("--split")
-    ev.add_argument("--truth", help="ground-truth probability table CSV")
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("-o", "--out")
-    ev.set_defaults(handler=_cmd_eval)
-
-    ha = sub.add_parser("halo", help="extract relative context effects")
-    ha.add_argument("--config")
-    ha.add_argument("--model-file", dest="model_file")
-    ha.add_argument("--render-only", dest="render_only", help="existing alpha CSV")
-    ha.add_argument("--max-order", dest="max_order", type=int)
-    ha.add_argument("--pair", help="restrict to one pair, e.g. 1,2")
-    ha.add_argument("--svg", help="also render a heatmap SVG")
-    ha.add_argument("--force", action="store_const", const=True)
-    ha.add_argument("--seed", type=int)
-    ha.add_argument("-o", "--out")
-    ha.set_defaults(handler=_cmd_halo)
+    for command, help_text, handler in (
+        ("gen", "generate fixture or synthetic choice data", _cmd_gen),
+        ("train", "fit a model to a dataset", _cmd_train),
+        ("eval", "evaluate a model file on a dataset", _cmd_eval),
+        ("halo", "extract relative context effects", _cmd_halo),
+    ):
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config")
+        for name, (_, keywords) in OPTIONS[command].items():
+            flags = ["-o"] if name == "out" else []
+            cmd.add_argument(*flags, "--" + name.replace("_", "-"), dest=name, **keywords)
+        cmd.set_defaults(handler=handler)
 
     return parser
 

@@ -135,13 +135,14 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def csv_rows(fh, comments: list[str] | None = None):
+def csv_rows(fh, comments: list[tuple[int, str]] | None = None):
     """(line number, row) for each row of a comma CSV, 1-based numbering.
 
-    Blank lines and '#' comment lines are skipped; the stripped comment
-    lines are appended to ``comments`` when it is given.  One reader
-    parses the whole file, fed one line at a time; a row must end on the
-    line it starts on, so that every message can name its line.
+    Blank lines and '#' comment lines are skipped; each comment line is
+    appended to ``comments`` as (line number, stripped line) when it is
+    given.  One reader parses the whole file, fed one line at a time; a
+    row must end on the line it starts on, so that every message can name
+    its line.
     """
     pending: deque[int] = deque()  # numbers of the lines fed but not yet parsed
 
@@ -150,7 +151,7 @@ def csv_rows(fh, comments: list[str] | None = None):
             stripped = line.strip()
             if stripped.startswith("#"):
                 if comments is not None:
-                    comments.append(stripped)
+                    comments.append((lineno, stripped))
             elif stripped:
                 pending.append(lineno)
                 yield line
@@ -306,10 +307,18 @@ def save_split_manifest(splits: dict[str, list[int]], path) -> None:
         json.dump({k: list(map(int, v)) for k, v in splits.items()}, fh)
 
 
+def read_json(path):
+    """The JSON document in ``path``; a file that is not valid JSON is named."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_split_manifest(path) -> dict[str, list[int]]:
     """Split names to observation indices; each error names the file and the split."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: a split manifest must map split names to index lists")
     for name, idx in raw.items():

@@ -27,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import training
 from .autodiff import DegenerateSetError, Node
+from .data import read_json
 
 FORMAT_VERSION = 1
 
@@ -99,12 +100,12 @@ SIZE, NAME, FLAG, NULL = (int,), (str,), (bool,), (type(None),)
 _TYPE_WORDS = {int: "an integer", str: "a string", bool: "true or false", type(None): "null"}
 
 
-def check_object(payload) -> None:
-    """Raise unless a model file's payload is a JSON object."""
+def check_object(payload, what: str = "model file") -> None:
+    """Raise unless a JSON file's payload (a model file by default) is an object."""
     if not isinstance(payload, dict):
         found = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
         raise ValueError(
-            f"model file must hold a JSON object, got {found.get(type(payload), 'a number')}"
+            f"{what} must hold a JSON object, got {found.get(type(payload), 'a number')}"
         )
 
 
@@ -175,8 +176,7 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def _identity_block(universe: int, width: int) -> np.ndarray:

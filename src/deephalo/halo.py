@@ -349,10 +349,8 @@ def write_halo_csv(table: RelativeHaloTable, path) -> None:
 
 
 def read_halo_csv(path) -> RelativeHaloTable:
-    universe = None
-    max_order = None
     entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
-    comments: list[str] = []
+    comments: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in csv_rows(fh, comments):
             if row[0] == "pair_j":
@@ -367,13 +365,19 @@ def read_halo_csv(path) -> RelativeHaloTable:
                 raise DataFormatError(
                     f"line {lineno}: ids must be integers and alpha a number, got {','.join(row)!r}"
                 ) from None
-    for comment in comments:
+    header: dict[str, int] = {}
+    for lineno, comment in comments:
         for token in comment.lstrip("#").split():
             key, _, value = token.partition("=")
-            if key == "universe":
-                universe = int(value)
-            elif key == "max_order":
-                max_order = int(value)
+            if key in ("universe", "max_order"):
+                try:
+                    header[key] = int(value)
+                except ValueError:
+                    raise DataFormatError(
+                        f"line {lineno}: header key '{key}' must be an integer, got {value!r}"
+                    ) from None
+    universe = header.get("universe")
+    max_order = header.get("max_order")
     if universe is None:
         universe = 1 + max(max(j, k) for j, k, _ in entries)
     if max_order is None:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from deephalo import data as dat
-from deephalo.cli import main
+from deephalo import training as trn
+from deephalo.cli import OPTIONS, main
 from deephalo.featured import FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import read_halo_csv
@@ -204,8 +205,104 @@ class TestTrain:
                    "--data", str(beverage_csv), "-o", str(tmp_path / "m.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("file_conf, named", [
+        ({"lr": "abc"}, "config key 'lr' must be a number, got \"abc\""),
+        ({"epochs": 2.5}, "config key 'epochs' must be an integer, got 2.5"),
+        ({"seed": None}, "config key 'seed' must be an integer, got null"),
+        ({"max_epochs": True}, "config key 'epochs' must be an integer, got true"),
+        ({"clip_norm": False}, "config key 'clip_norm' must be a number, got false"),
+        ({"loss": "hinge"}, "config key 'loss' must be one of ['nll', 'mse_onehot']"),
+        ({"data": 3}, "config key 'data' must be a string, got 3"),
+        ({"rank": 2.0}, "config key 'rank' must be a string or an integer, got 2.0"),
+        (["lr"], "must hold a JSON object, got an array"),
+    ], ids=["string-rate", "float-epochs", "null-seed", "bool-alias", "bool-float",
+            "choice", "int-path", "float-rank", "array"])
+    def test_config_value_the_flag_cannot_produce_is_usage_error(
+        self, tmp_path, capsys, beverage_csv, file_conf, named
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(file_conf))
+        out = tmp_path / "m.json"
+        code = run("train", "--config", str(conf), "--model", "mnl",
+                   "--data", str(beverage_csv), "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "m.json.manifest.json").exists()
+
+    def test_config_null_and_integer_rank_where_the_flag_allows(self, tmp_path, beverage_csv):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"model": "mnl", "history": None, "rank": 3, "lr": 1}))
+        assert run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "--epochs", "1", "-o", str(tmp_path / "m.json")) == 0
+
+    def test_manifest_config_resolves_in_table_order(self, tmp_path, beverage_csv):
+        file_conf = {"model": "mnl", "epochs": 3, "lr": 0.1, "seed": 4}
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(file_conf))
+        out = tmp_path / "m.json"
+        flags = {"data": str(beverage_csv), "epochs": 2, "out": str(out)}
+        assert run("train", "--config", str(conf), "--data", flags["data"],
+                   "--epochs", "2", "-o", flags["out"]) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert list(manifest["config"]) == list(OPTIONS["train"])
+        assert manifest["config"] == {
+            name: flags.get(name, file_conf.get(name, default))
+            for name, (default, _) in OPTIONS["train"].items()
+        }
+        assert manifest["config"]["epochs"] == 2 and manifest["config"]["lr"] == 0.1
+        assert manifest["config"]["batch"] == 0 and manifest["seed"] == 4
+
+    def test_split_manifest_without_train_split_exits_1(self, tmp_path, capsys, beverage_csv):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"val": [0], "test": [1]}))
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv), "--split", str(split),
+                   "--epochs", "1", "-o", str(out))
+        assert code == 1
+        assert f"{split}: split manifest has no 'train' split" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
+    def test_split_scores_the_test_split(self, tmp_path, beverage_csv, trained_model):
+        splits = {"train": list(range(0, 2200, 2)), "test": list(range(1, 2200, 4))}
+        split = tmp_path / "split.json"
+        dat.save_split_manifest(splits, split)
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--model-file", str(trained_model), "--data", str(beverage_csv),
+                   "--split", str(split), "-o", str(out)) == 0
+        ds = dat.load_featureless_csv(beverage_csv).with_splits(splits)
+        expected = trn.evaluate(FeaturelessModel.load(trained_model), ds, "test")
+        assert json.loads(out.read_text())["nll"] == expected.nll
+        whole = trn.evaluate(FeaturelessModel.load(trained_model), ds)
+        assert expected.nll != whole.nll
+
+    def test_split_manifest_without_test_split_exits_1(
+        self, tmp_path, capsys, beverage_csv, trained_model
+    ):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"train": [0, 1]}))
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--model-file", str(trained_model), "--data", str(beverage_csv),
+                   "--split", str(split), "-o", str(out)) == 1
+        assert f"{split}: split manifest has no 'test' split" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, code", [("config", 2), ("split", 1), ("model-file", 1)])
+    def test_file_that_is_not_json_is_named(
+        self, tmp_path, capsys, beverage_csv, trained_model, target, code
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        paths = {"config": None, "split": None, "model-file": str(trained_model)}
+        paths[target] = str(bad)
+        given = [arg for name, path in paths.items() if path for arg in (f"--{name}", path)]
+        out = tmp_path / "metrics.json"
+        assert run("eval", *given, "--data", str(beverage_csv), "-o", str(out)) == code
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metrics_with_truth_table(self, tmp_path, beverage_csv, trained_model):
         out = tmp_path / "metrics.json"
         code = run("eval", "--model-file", str(trained_model),
@@ -388,6 +485,24 @@ class TestHalo:
         assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
         assert "error: line 3:" in capsys.readouterr().err
         assert not svg.exists()
+
+    def test_render_only_malformed_header_exits_1(self, tmp_path, capsys):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("# universe=x max_order=1\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n")
+        svg = tmp_path / "alpha.svg"
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
+        assert "error: line 1: header key 'universe'" in capsys.readouterr().err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("force", [1, "yes"])
+    def test_config_force_must_be_a_boolean(self, tmp_path, capsys, trained_model, force):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"force": force}))
+        out = tmp_path / "alpha.csv"
+        assert run("halo", "--config", str(conf), "--model-file", str(trained_model),
+                   "-o", str(out)) == 2
+        assert "config key 'force' must be true or false" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_order_fails_without_table(self, tmp_path, trained_model):
         out = tmp_path / "alpha.csv"

@@ -307,6 +307,13 @@ class TestSplits:
             dat.load_split_manifest(path)
         assert str(path) in str(err.value)
 
+    def test_manifest_that_is_not_json_names_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"train": [0,')
+        with pytest.raises(dat.DataFormatError, match="not valid JSON") as err:
+            dat.load_split_manifest(path)
+        assert str(path) in str(err.value)
+
     def test_out_of_range_split_rejected(self):
         cs = dat.ChoiceSet((0, 1), 2)
         ds = dat.Dataset([dat.Observation(cs, 0)], universe=2)

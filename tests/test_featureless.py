@@ -383,3 +383,10 @@ class TestSerialization:
     def test_payload_must_be_an_object(self):
         with pytest.raises(ValueError, match="must hold a JSON object, got an array"):
             FeaturelessModel.from_json([FeaturelessModel.mnl(3).to_json()])
+
+    def test_file_that_is_not_json_is_named(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("not json")
+        with pytest.raises(dat.DataFormatError, match="not valid JSON") as err:
+            FeaturelessModel.load(path)
+        assert str(path) in str(err.value)

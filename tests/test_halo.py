@@ -522,6 +522,16 @@ class TestExport:
         with pytest.raises(dat.DataFormatError, match=message):
             read_halo_csv(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("# universe=x max_order=1", "line 1: header key 'universe' must be an integer, got 'x'"),
+        ("# universe=3 max_order=", "line 1: header key 'max_order' must be an integer, got ''"),
+    ])
+    def test_csv_malformed_header_reports_line(self, tmp_path, header, message):
+        path = tmp_path / "alpha.csv"
+        path.write_text(f"{header}\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n")
+        with pytest.raises(dat.DataFormatError, match=message):
+            read_halo_csv(path)
+
     def test_svg_self_contained_and_deterministic(self, tmp_path):
         m = PlantedModel(3, seed=15)
         table = full_relative_table(m, max_order=1)
