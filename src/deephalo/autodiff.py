@@ -5,17 +5,29 @@ Every operation returns a :class:`Node` that records its inputs together
 with a local vector-Jacobian rule, so a fresh tape is built per forward
 pass and discarded after :func:`backward`.
 
-Reductions that cross item slots (matrix-product contractions, masked
-column sums and means, full sums, softmax normalizers and their
-gradients) go through one sorted sum: the summands are sorted ascending
-and then added strictly left to right (reproducible summation in the
-sense of Demmel & Nguyen, ARITH 2013).  The result depends only on the
-multiset of summands, so it is invariant to reordering them and to
-inserting zeros, including with signed zeros, infinities and NaN.  That
-is what turns the model-level permutation and relabeling guarantees into
-literal equalities instead of "equal up to reassociation".  The sum is
+Every sum whose summands a tested symmetry can reorder goes through one
+sorted sum: the summands are sorted ascending and then added strictly
+left to right (reproducible summation in the sense of Demmel & Nguyen,
+ARITH 2013).  Those sums are the contractions of :func:`matmul` (the
+featureless model's width axis, whose first rows are items that
+relabeling permutes), every weight gradient (a sum over columns, which
+batch order and slot permutations reorder), the segment sums and means,
+full sums, and the softmax reductions with their gradients; the
+layer-norm statistics are sorted sums too.  A sorted sum depends only on
+the multiset of its summands, so it is invariant to reordering them and
+to inserting zeros, including with signed zeros, infinities and NaN.
+That is what turns the model-level permutation and relabeling guarantees
+into literal equalities instead of "equal up to reassociation".  It is
 not exactly rounded: it carries the rounding error of an ordinary
 left-to-right sum, at most about k * eps * sum(|x|) over k summands.
+
+:func:`weight_matmul` is the featured model's weight-times-state product.
+Its value and its state adjoint contract over hidden units, which no
+symmetry permutes, so they add their k products in index order, one
+vectorised multiply-add per k, with the same error bound and no sort.
+An entry reads only its own column of the state, so a column equals its
+forward alone at any batch width.  Only its weight adjoint, a sum over
+columns, is sorted.
 
 Masked softmax and log-softmax work column by column: each column of the
 utility matrix is one offered set, normalised over the rows its mask
@@ -113,6 +125,29 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for lo in range(0, n, step):
         block = b[:, lo : lo + step]
         out[:, lo : lo + step] = _sorted_sum(a.T[:, :, None] * block[:, None, :])
+    return out
+
+
+def index_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product whose contractions add the k products in index order.
+
+    Each entry is ``((a[i,0]*b[0,j] + a[i,1]*b[1,j]) + ...)``, one rounded
+    product and one rounded sum per step, taken as one vectorised
+    multiply-add over the (m x n) output per k.  An entry reads only row i
+    of ``a`` and column j of ``b``, so a column of the product is the same
+    bits at any number of columns beside it; it is not invariant to
+    permuting the contraction axis.
+    """
+    m, k = a.shape
+    kb, n = b.shape
+    if k != kb:
+        raise DimensionError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
+    cols = a.T[:, :, None]  # (k, m, 1): column i of a, broadcast along b's row i
+    out = cols[0] * b[0]
+    term = np.empty_like(out)
+    for i in range(1, k):
+        np.multiply(cols[i], b[i], out=term)
+        out += term
     return out
 
 
@@ -226,6 +261,25 @@ def matmul(a: Node, b: Node) -> Node:
         return ga, gb
 
     return Node(value, parents=(a, b), vjp=vjp)
+
+
+def weight_matmul(w: Node, x: Node) -> Node:
+    """``w @ x`` for a weight matrix ``w`` and a state ``x`` of one column per slot.
+
+    The value and x's adjoint (``w.T @ g``) contract over hidden units and
+    add their products in index order (:func:`index_order_matmul`), so a
+    column equals its forward alone.  w's adjoint (``g @ x.T``) sums over
+    the columns, which batch order and slot permutations reorder, so it
+    stays a sorted sum.
+    """
+    value = index_order_matmul(w.value, x.value)
+
+    def vjp(g):
+        gw = exact_matmul(g, x.value.T) if w.requires_grad else None
+        gx = index_order_matmul(w.value.T, g) if x.requires_grad else None
+        return gw, gx
+
+    return Node(value, parents=(w, x), vjp=vjp)
 
 
 def add(a: Node, b: Node) -> Node:

@@ -226,6 +226,10 @@ def _cmd_gen(args) -> int:
         manifest.add_output(conf["out"])
         if conf["n_per_set"] < 1:
             raise UsageError(f"--n-per-set must be at least 1, got {conf['n_per_set']}")
+        if conf["sets"] < 0:
+            raise UsageError(
+                f"--sets must be non-negative (0 enumerates every subset), got {conf['sets']}"
+            )
         if conf["fixture"]:
             if conf["universe"] or conf["set_size"]:
                 raise UsageError("--fixture conflicts with --universe/--set-size")
@@ -254,7 +258,20 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_model(conf: dict, dataset: dat.Dataset):
+def _parse_rank(value) -> int | None:
+    """``--rank`` as a positive integer, or None for 'full'."""
+    if value in ("full", ""):
+        return None
+    try:
+        rank = int(value)
+    except ValueError:
+        rank = None
+    if rank is None or rank < 1:
+        raise UsageError(f"--rank must be a positive integer or 'full', got {value!r}")
+    return rank
+
+
+def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
     kind = conf["model"]
     universe = max(conf["universe"], dataset.universe)
     if kind == "mnl":
@@ -262,7 +279,6 @@ def _build_model(conf: dict, dataset: dat.Dataset):
     if kind == "cmnl":
         return FeaturelessModel.cmnl(universe, seed=conf["seed"])
     if kind == "deephalo-fl":
-        rank = None if conf["rank"] in ("full", "") else int(conf["rank"])
         width = conf["width"] or universe
         return FeaturelessModel.deephalo(
             universe,
@@ -303,7 +319,10 @@ def _load_dataset(conf: dict, split: str) -> dat.Dataset:
         splits = dat.load_split_manifest(conf["split"])
         if split not in splits:
             raise dat.DataFormatError(f"{conf['split']}: split manifest has no '{split}' split")
-        dataset = dataset.with_splits(splits)
+        try:
+            dataset = dataset.with_splits(splits)
+        except dat.DataFormatError as exc:
+            raise dat.DataFormatError(f"{conf['split']}: {exc}") from None
     return dataset
 
 
@@ -320,8 +339,9 @@ def _cmd_train(args) -> int:
             raise UsageError(
                 f"--clip-norm must be non-negative (0 = no clipping), got {conf['clip_norm']}"
             )
+        rank = _parse_rank(conf["rank"])
         dataset = _load_dataset(conf, "train")
-        model = _build_model(conf, dataset)
+        model = _build_model(conf, dataset, rank)
         schedule = None
         if conf["lr2"] and conf["lr_switch"]:
             schedule = (conf["lr"], conf["lr2"], conf["lr_switch"])

@@ -24,6 +24,14 @@ stays within each observation (``autodiff`` segment ops).  Dummy slots are
 never computed, so an observation's utilities are the same bits alone, in
 any batch and at any padded width.
 
+Every weight-times-state product (embedding, modulators, aggregation,
+readout) is ``autodiff.weight_matmul``.  It contracts over hidden units,
+which no symmetry of the model permutes, so it adds its products in index
+order rather than sorting them; permuting the offered slots permutes the
+columns, and each column is computed from its own slot alone.  The
+weight gradients sum over columns and stay sorted, so training does not
+depend on the order of the observations in a batch or of their slots.
+
 The ``resnet`` variant drops head modulation and adds the aggregated
 context vector itself back to every alternative.
 """
@@ -159,9 +167,9 @@ class FeaturedModel(ParameterStore):
         return features, mask
 
     def embed_node(self, nodes, x: Node) -> Node:
-        h1 = ad.relu(ad.add_bias(ad.matmul(nodes["embed.w1"], x), nodes["embed.b1"]))
-        h2 = ad.relu(ad.add_bias(ad.matmul(nodes["embed.w2"], h1), nodes["embed.b2"]))
-        h3 = ad.add_bias(ad.matmul(nodes["embed.w3"], h2), nodes["embed.b3"])
+        h1 = ad.relu(ad.add_bias(ad.weight_matmul(nodes["embed.w1"], x), nodes["embed.b1"]))
+        h2 = ad.relu(ad.add_bias(ad.weight_matmul(nodes["embed.w2"], h1), nodes["embed.b2"]))
+        h3 = ad.add_bias(ad.weight_matmul(nodes["embed.w3"], h2), nodes["embed.b3"])
         if self.layer_norm:
             h3 = ad.layer_norm(h3, nodes["embed.ln_gain"], nodes["embed.ln_bias"])
         return h3
@@ -169,12 +177,12 @@ class FeaturedModel(ParameterStore):
     def _modulator_node(self, nodes, l: int, head: int, base: Node) -> Node:
         hid = ad.relu(
             ad.add_bias(
-                ad.matmul(nodes[f"layer{l}.head{head}.w"], base),
+                ad.weight_matmul(nodes[f"layer{l}.head{head}.w"], base),
                 nodes[f"layer{l}.head{head}.b"],
             )
         )
         out = ad.add_bias(
-            ad.matmul(nodes[f"layer{l}.shared_w"], hid), nodes[f"layer{l}.shared_b"]
+            ad.weight_matmul(nodes[f"layer{l}.shared_w"], hid), nodes[f"layer{l}.shared_b"]
         )
         if self.layer_norm:
             out = ad.layer_norm(out, nodes[f"layer{l}.ln_gain"], nodes[f"layer{l}.ln_bias"])
@@ -182,7 +190,7 @@ class FeaturedModel(ParameterStore):
 
     def layer_node(self, nodes, l: int, z_prev: Node, base: Node, seg: ad.Segments) -> Node:
         inner = z_prev if self.sigma == "identity" else ad.elementwise_square(z_prev)
-        pooled = ad.matmul(nodes[f"layer{l}.agg"], inner)
+        pooled = ad.weight_matmul(nodes[f"layer{l}.agg"], inner)
         if self.aggregation == "mean":
             context = ad.segment_mean(pooled, seg)
         else:
@@ -217,7 +225,7 @@ class FeaturedModel(ParameterStore):
             z = self.layer_node(nodes, l, z, base, seg)
             if states is not None:
                 states.append(z)
-        return ad.scatter_slots(ad.matmul(nodes["readout"], z), seg), seg.mask
+        return ad.scatter_slots(ad.weight_matmul(nodes["readout"], z), seg), seg.mask
 
     # -- public surface ------------------------------------------------------------
 

@@ -219,6 +219,7 @@ FD_CASES = [
     ("segment_scale", lambda a, s: ad.segment_scale(a, s, SEGMENTS, 1), [(3, 6), (2, 3)]),
     ("segment_bias", lambda a, b: ad.segment_bias(a, b, SEGMENTS), [(3, 6), (3, 3)]),
     ("scatter_slots", lambda u: ad.scatter_slots(u, SEGMENTS), [(1, 6)]),
+    ("weight_matmul", lambda w, x: ad.weight_matmul(w, x), [(3, 4), (4, 5)]),
     ("layer_norm_wide", lambda a, g, b: ad.layer_norm(a, g, b), [(16, 5), (16, 1), (16, 1)]),
 ]
 
@@ -619,6 +620,99 @@ class TestSortedSum:
             )
             bound = 2 * k * eps * (np.abs(a) @ np.abs(b))
             assert np.all(np.abs(ad.exact_matmul(a, b) - ref) <= bound)
+
+
+# -- index-order products -----------------------------------------------------
+# weight_matmul adds the value's and x's-adjoint products in index order, so a
+# column depends only on its own operands; w's adjoint sums over columns and
+# stays sorted.
+
+
+def sequential_index_order_product(a, b):
+    """Pure-Python reference: a[i,0]*b[0,j] + a[i,1]*b[1,j] + ..., left to right."""
+    m, k = a.shape
+    out = np.empty((m, b.shape[1]))
+    for i, j in np.ndindex(out.shape):
+        total = a[i, 0] * b[0, j]
+        for l in range(1, k):
+            total = total + a[i, l] * b[l, j]
+        out[i, j] = total
+    return out
+
+
+def weight_matmul_parts(w, x, g):
+    """Value and (w, x) adjoints of ``weight_matmul`` for the output adjoint ``g``."""
+    # Nodes made directly: ``parameter`` rejects the non-finite operands.
+    node = ad.weight_matmul(ad.Node(w, requires_grad=True), ad.Node(x, requires_grad=True))
+    gw, gx = node.vjp(g)
+    return node.value, gw, gx
+
+
+class TestWeightMatmul:
+    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (4, 1, 3), (1, 40, 1), (5, 17, 2), (16, 16, 9)])
+    def test_value_and_state_adjoint_equal_index_order_loop(self, m, k, n):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            w, x, g = wide_range(rng, (m, k)), wide_range(rng, (k, n)), wide_range(rng, (m, n))
+            value, _, gx = weight_matmul_parts(w, x, g)
+            assert_same_values(value, sequential_index_order_product(w, x))
+            assert_same_values(gx, sequential_index_order_product(w.T, g))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_special_values_equal_index_order_loop(self):
+        rng = np.random.default_rng(35)
+        w, x = special_operands(rng)
+        g = wide_range(rng, (6, 5))
+        g[:, 2] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0]
+        value, _, gx = weight_matmul_parts(w, x, g)
+        assert_same_values(value, sequential_index_order_product(w, x))
+        assert_same_values(gx, sequential_index_order_product(w.T, g))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_column_alone_equals_column_at_every_width(self):
+        rng = np.random.default_rng(32)
+        w, x = special_operands(rng, m=6, k=9, n=40)
+        x[3, 5], x[0, 7], x[4, 9] = np.inf, -np.inf, np.nan
+        x[:, 11] = -0.0
+        g = wide_range(rng, (6, 40))
+        g[0, :4] = [0.0, -0.0, np.inf, np.nan]
+        alone = [weight_matmul_parts(w, x[:, [j]], g[:, [j]]) for j in range(40)]
+        for width in range(1, 41):
+            cols = rng.permutation(40)[:width]
+            value, _, gx = weight_matmul_parts(w, x[:, cols], g[:, cols])
+            for c, j in enumerate(cols):
+                assert_same_values(value[:, c], alone[j][0][:, 0])
+                assert_same_values(gx[:, c], alone[j][2][:, 0])
+
+    def test_weight_adjoint_is_sorted_and_invariant_to_column_order(self):
+        rng = np.random.default_rng(33)
+        for n in (1, 7, 40):
+            w, x, g = wide_range(rng, (5, 8)), wide_range(rng, (8, n)), wide_range(rng, (5, n))
+            _, gw, _ = weight_matmul_parts(w, x, g)
+            assert_same_values(gw, ad.exact_matmul(g, x.T))
+            for _ in range(20):
+                p = rng.permutation(n)
+                assert_same_values(weight_matmul_parts(w, x[:, p], g[:, p])[1], gw)
+
+    def test_constant_operands_get_no_adjoint(self):
+        w, x = ad.constant(np.ones((2, 3))), ad.parameter(np.ones((3, 4)))
+        assert ad.weight_matmul(w, x).vjp(np.ones((2, 4)))[0] is None
+        assert ad.weight_matmul(x, ad.constant(np.ones((4, 1)))).vjp(np.ones((3, 1)))[1] is None
+        with pytest.raises(ad.DimensionError, match=r"\(2, 3\) x \(4, 1\)"):
+            ad.weight_matmul(w, ad.constant(np.ones((4, 1))))
+
+    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (1, 2, 1), (8, 16, 8), (16, 29, 28), (3, 64, 5)])
+    def test_within_rounding_bound_of_exactly_rounded_sum(self, m, k, n):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            w, x = wide_range(rng, (m, k)), wide_range(rng, (k, n))
+            ref = np.array(
+                [[math.fsum(w[i] * x[:, j]) for j in range(n)] for i in range(m)]
+            )
+            bound = 2 * k * eps * (np.abs(w) @ np.abs(x))
+            value = ad.weight_matmul(ad.constant(w), ad.constant(x)).value
+            assert np.all(np.abs(value - ref) <= bound)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

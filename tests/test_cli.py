@@ -71,6 +71,15 @@ class TestGen:
         manifest = json.loads((tmp_path / "bev.csv.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_negative_sets_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "syn.csv"
+        code = run("gen", "--universe", "4", "--set-size", "2", "--sets", "-1",
+                   "--n-per-set", "2", "-o", str(out))
+        assert code == 2
+        assert "--sets must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "syn.csv.truth.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def beverage_csv(tmp_path_factory):
@@ -252,6 +261,35 @@ class TestTrain:
         }
         assert manifest["config"]["epochs"] == 2 and manifest["config"]["lr"] == 0.1
         assert manifest["config"]["batch"] == 0 and manifest["seed"] == 4
+
+    @pytest.mark.parametrize("rank, named", [
+        ("abc", "'abc'"), ("0", "'0'"), ("-3", "'-3'"), (0, "0"), (-3, "-3"),
+    ], ids=["flag-text", "flag-zero", "flag-negative", "config-zero", "config-negative"])
+    def test_rank_that_is_not_positive_is_usage_error(
+        self, tmp_path, capsys, beverage_csv, rank, named
+    ):
+        out = tmp_path / "m.json"
+        given = ["--rank", rank]
+        if not isinstance(rank, str):
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"rank": rank}))
+            given = ["--config", str(conf)]
+        code = run("train", "--model", "deephalo-fl", "--data", str(beverage_csv),
+                   *given, "--epochs", "1", "-o", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--rank must be a positive integer or 'full', got {named}" in err
+        assert not out.exists()
+
+    def test_split_index_out_of_range_names_manifest(self, tmp_path, capsys, beverage_csv):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"train": [0, 1, 999999]}))
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv), "--split", str(split),
+                   "--epochs", "1", "-o", str(out))
+        assert code == 1
+        assert f"{split}: split 'train' indexes out of range: [999999]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_split_manifest_without_train_split_exits_1(self, tmp_path, capsys, beverage_csv):
         split = tmp_path / "split.json"
