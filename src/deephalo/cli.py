@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -271,6 +272,18 @@ def _parse_rank(value) -> int | None:
     return rank
 
 
+def _parse_schedule(conf: dict) -> tuple[float, float, int] | None:
+    """``(--lr, --lr2, --lr-switch)`` when either of the last two is set, else None."""
+    rate2, switch = conf["lr2"], conf["lr_switch"]
+    if not rate2 and not switch:
+        return None
+    if not 0 < rate2 < math.inf:
+        raise UsageError(f"--lr-switch needs --lr2, a positive finite rate; got {rate2}")
+    if switch < 1:
+        raise UsageError(f"--lr2 needs --lr-switch, an epoch >= 1; got {switch}")
+    return conf["lr"], rate2, switch
+
+
 def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
     kind = conf["model"]
     universe = max(conf["universe"], dataset.universe)
@@ -340,11 +353,9 @@ def _cmd_train(args) -> int:
                 f"--clip-norm must be non-negative (0 = no clipping), got {conf['clip_norm']}"
             )
         rank = _parse_rank(conf["rank"])
+        schedule = _parse_schedule(conf)
         dataset = _load_dataset(conf, "train")
         model = _build_model(conf, dataset, rank)
-        schedule = None
-        if conf["lr2"] and conf["lr_switch"]:
-            schedule = (conf["lr"], conf["lr2"], conf["lr_switch"])
         config = trn.TrainConfig(
             loss=conf["loss"],
             learning_rate=conf["lr"],

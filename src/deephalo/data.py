@@ -463,10 +463,15 @@ def load_probability_table(path) -> dict[tuple[int, ...], np.ndarray]:
     if [h.strip() for h in header] != ["set", "probs"]:
         raise DataFormatError(f"line {header_line}: expected header 'set,probs'")
     table = {}
+    first_line: dict[tuple[int, ...], int] = {}  # sorted ids -> line
     for lineno, row in rows[1:]:
         if len(row) != 2:
             raise DataFormatError(f"line {lineno}: expected 2 fields")
         ids = _parse_id_list(row[0], lineno)
+        key = tuple(sorted(ids))
+        if key in first_line:
+            raise DataFormatError(f"line {lineno}: set {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             probs = np.array([float(v) for v in row[1].split(";")])
         except ValueError:

@@ -49,14 +49,10 @@ from .featureless import (
     SIZE,
     ParameterStore,
     UtilityVector,
-    check_header,
     check_ids,
     choice_probabilities,
     column_probabilities,
-    weight_group,
 )
-
-FORMAT_VERSION = 1
 
 # Configurations per forward-only tape in ``predict`` and catalog halo forwards:
 # bounds the tape held at once, so peak memory does not grow with their number.
@@ -81,6 +77,17 @@ def _uniform_bias(rng, rows: int, fan_in: int) -> np.ndarray:
 
 class FeaturedModel(ParameterStore):
     kind = "featured"
+    HEADER = {
+        "d_x": ("feature_dim", SIZE, True),
+        "d": ("embed_dim", SIZE, True),
+        "H": ("heads", SIZE, True),
+        "L": ("depth", SIZE, True),
+        "sigma": ("sigma", NAME, True),
+        "variant": ("variant", NAME, True),
+        "aggregation": ("aggregation", NAME, False),
+        "layer_norm": ("layer_norm", FLAG, False),
+    }
+    GROUPS = "weights"
 
     def __init__(
         self,
@@ -143,12 +150,8 @@ class FeaturedModel(ParameterStore):
 
     # -- parameters ------------------------------------------------------------
 
-    def trainables(self) -> list[tuple[str, np.ndarray]]:
+    def groups(self) -> list[tuple[str, np.ndarray]]:
         return list(self.params.items())
-
-    def make_param_nodes(self, trainable: bool = True) -> dict[str, Node]:
-        wrap = ad.parameter if trainable else ad.constant
-        return {name: wrap(arr) for name, arr in self.params.items()}
 
     # -- forward pieces ----------------------------------------------------------
 
@@ -292,53 +295,6 @@ class FeaturedModel(ParameterStore):
         """
         values, mask = self._blocked_utilities(blocks, max(np.size(m) for _, m in blocks))
         return column_probabilities(values, mask), mask
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "d_x": self.feature_dim,
-            "d": self.embed_dim,
-            "H": self.heads,
-            "L": self.depth,
-            "sigma": self.sigma,
-            "variant": self.variant,
-            "aggregation": self.aggregation,
-            "layer_norm": self.layer_norm,
-            "weights": {name: arr.tolist() for name, arr in self.params.items()},
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FeaturedModel":
-        check_header(
-            payload,
-            cls.kind,
-            FORMAT_VERSION,
-            {"d_x": SIZE, "d": SIZE, "H": SIZE, "L": SIZE, "sigma": NAME, "variant": NAME},
-            {"aggregation": NAME, "layer_norm": FLAG},
-            "weights",
-        )
-        model = cls(
-            payload["d_x"],
-            payload["d"],
-            payload["H"],
-            payload["L"],
-            sigma=payload["sigma"],
-            variant=payload["variant"],
-            aggregation=payload.get("aggregation", "mean"),
-            layer_norm=payload.get("layer_norm", True),
-        )
-        weights = payload["weights"]
-        unmatched = sorted(set(model.params) ^ set(weights))
-        if unmatched:
-            name = unmatched[0]
-            state = "is missing" if name in model.params else "is not in the declared architecture"
-            raise ValueError(f"weight group '{name}' {state}")
-        for name, declared in model.params.items():
-            model.params[name] = weight_group(name, weights[name], declared.shape)
-        return model
 
 
 class CatalogSetModel:

@@ -109,26 +109,24 @@ def check_object(payload, what: str = "model file") -> None:
         )
 
 
-def check_header(
-    payload, kind: str, version: int, required: dict, optional: dict, groups: str
-) -> None:
+def check_header(payload, kind: str, header: dict, groups: str) -> None:
     """Raise naming the first header key that a model file lacks or mistypes.
 
-    The payload must be a JSON object of ``kind`` and format ``version``.
-    ``required`` and ``optional`` map header keys to their allowed types
-    (``SIZE``, ``NAME``, ``FLAG``, optionally with ``NULL``); an optional
-    key may be absent.  ``groups`` names the key that maps weight-group
-    names to matrices.
+    The payload must be a JSON object of ``kind`` and ``FORMAT_VERSION``.
+    ``header`` is a model's ``HEADER`` table: key -> (constructor argument,
+    allowed types, required), the types drawn from ``SIZE``, ``NAME``,
+    ``FLAG``, optionally with ``NULL``; an optional key may be absent.
+    ``groups`` names the key that maps weight-group names to matrices.
     """
     check_object(payload)
     if payload.get("kind") != kind:
         raise ValueError(f"expected kind '{kind}', got {payload.get('kind')!r}")
-    if payload.get("format_version") != version:
+    if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {payload.get('format_version')}")
-    for key in tuple(required) + (groups,):
+    for key in [key for key, (_, _, required) in header.items() if required] + [groups]:
         if key not in payload:
             raise ValueError(f"model file is missing header key '{key}'")
-    for key, types in {**required, **optional}.items():
+    for key, (_, types, _) in header.items():
         value = payload.get(key)
         if key in payload and (
             not isinstance(value, types) or isinstance(value, bool) != (bool in types)
@@ -158,7 +156,39 @@ def weight_group(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class ParameterStore:
-    """Bookkeeping both models share, built on ``trainables``, ``to_json`` and ``from_json``."""
+    """Parameter bookkeeping and the model file format both models share.
+
+    A model declares
+    * ``groups()``: its weight groups as (name, array) pairs in file order,
+      each array the live storage that training and loading update in place;
+    * ``frozen()``: the names of the groups that training leaves alone
+      (none unless overridden);
+    * ``HEADER``: file header key -> (constructor argument, allowed types,
+      required), in file order; the argument also names the attribute;
+    * ``kind`` and ``GROUPS``: the file's kind and the key that maps group
+      names to matrices;
+    and trainables, tape leaves, snapshots and the file format follow from those.
+    """
+
+    kind: str
+    HEADER: dict[str, tuple[str, tuple[type, ...], bool]]
+    GROUPS: str
+
+    def frozen(self) -> set[str]:
+        return set()
+
+    def trainables(self) -> list[tuple[str, np.ndarray]]:
+        frozen = self.frozen()
+        return [(name, arr) for name, arr in self.groups() if name not in frozen]
+
+    def make_param_nodes(self, trainable: bool = True) -> dict[str, Node]:
+        """Tape leaves of every group: parameters of the trainable groups when
+        ``trainable``, constants otherwise."""
+        frozen = self.frozen() if trainable else None
+        return {
+            name: ad.parameter(arr) if trainable and name not in frozen else ad.constant(arr)
+            for name, arr in self.groups()
+        }
 
     def snapshot(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.trainables()]
@@ -169,6 +199,34 @@ class ParameterStore:
 
     def parameter_count(self) -> int:
         return sum(arr.size for _, arr in self.trainables())
+
+    def to_json(self) -> dict:
+        return {
+            "format_version": FORMAT_VERSION,
+            "kind": self.kind,
+            **{key: getattr(self, arg) for key, (arg, _, _) in self.HEADER.items()},
+            self.GROUPS: {name: arr.tolist() for name, arr in self.groups()},
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict):
+        """The model a file declares, every declared group filled from the file.
+
+        A missing group and an undeclared one are both errors naming it.
+        """
+        check_header(payload, cls.kind, cls.HEADER, cls.GROUPS)
+        given = {arg: payload[key] for key, (arg, _, _) in cls.HEADER.items() if key in payload}
+        model = cls(**given)
+        stored = payload[cls.GROUPS]
+        declared = dict(model.groups())
+        for name in [*declared, *sorted(stored)]:
+            if name not in stored:
+                raise ValueError(f"model file is missing weight group '{name}'")
+            if name not in declared:
+                raise ValueError(f"weight group '{name}' is not in the declared architecture")
+        for name, arr in declared.items():
+            arr[...] = weight_group(name, stored[name], arr.shape)
+        return model
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -193,6 +251,17 @@ class FeaturelessModel(ParameterStore):
     """
 
     kind = "featureless"
+    HEADER = {
+        "J": ("universe", SIZE, True),
+        "J_prime": ("width", SIZE, True),
+        "L": ("depth", SIZE, True),
+        "activation": ("activation", NAME, True),
+        "rank_H": ("rank", SIZE + NULL, False),
+        "output_mode": ("output_mode", NAME, False),
+        "first_layer_residual": ("first_layer_residual", FLAG, False),
+        "interactions_trainable": ("interactions_trainable", FLAG, False),
+    }
+    GROUPS = "matrices"
 
     def __init__(
         self,
@@ -292,36 +361,21 @@ class FeaturelessModel(ParameterStore):
 
     # -- parameters ----------------------------------------------------------
 
-    def trainables(self) -> list[tuple[str, np.ndarray]]:
+    def groups(self) -> list[tuple[str, np.ndarray]]:
         out = []
-        if self.interactions_trainable:
-            for i, layer in enumerate(self.layers):
-                if self.rank is None:
-                    out.append((f"layer{i}", layer))
-                else:
-                    out.append((f"layer{i}.left", layer[0]))
-                    out.append((f"layer{i}.right", layer[1]))
+        for i, layer in enumerate(self.layers):
+            if self.rank is None:
+                out.append((f"layer{i}", layer))
+            else:
+                out += [(f"layer{i}.left", layer[0]), (f"layer{i}.right", layer[1])]
         if self.output_mode != "identity":
             out.append(("readout", self.readout))
         return out
 
-    def make_param_nodes(self, trainable: bool = True) -> dict[str, Node]:
-        wrap = ad.parameter if trainable else ad.constant
-        trainable_names = {name for name, _ in self.trainables()}
-        nodes = {}
-
-        def lift(name, array):
-            nodes[name] = wrap(array) if name in trainable_names else ad.constant(array)
-
-        for i, layer in enumerate(self.layers):
-            if self.rank is None:
-                lift(f"layer{i}", layer)
-            else:
-                lift(f"layer{i}.left", layer[0])
-                lift(f"layer{i}.right", layer[1])
-        if self.output_mode != "identity":
-            lift("readout", self.readout)
-        return nodes
+    def frozen(self) -> set[str]:
+        if self.interactions_trainable:
+            return set()
+        return {name for name, _ in self.groups() if name != "readout"}
 
     def _layer_node(self, nodes: dict[str, Node], i: int) -> Node:
         if self.rank is None:
@@ -406,70 +460,3 @@ class FeaturelessModel(ParameterStore):
 
     def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        matrices = {}
-        for i, layer in enumerate(self.layers):
-            if self.rank is None:
-                matrices[f"layer{i}"] = layer.tolist()
-            else:
-                matrices[f"layer{i}.left"] = layer[0].tolist()
-                matrices[f"layer{i}.right"] = layer[1].tolist()
-        if self.readout is not None:
-            matrices["readout"] = self.readout.tolist()
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "J": self.universe,
-            "J_prime": self.width,
-            "L": self.depth,
-            "activation": self.activation,
-            "rank_H": self.rank,
-            "output_mode": self.output_mode,
-            "first_layer_residual": self.first_layer_residual,
-            "interactions_trainable": self.interactions_trainable,
-            "matrices": matrices,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FeaturelessModel":
-        check_header(
-            payload,
-            cls.kind,
-            FORMAT_VERSION,
-            {"J": SIZE, "J_prime": SIZE, "L": SIZE, "activation": NAME},
-            {
-                "rank_H": SIZE + NULL,
-                "output_mode": NAME,
-                "first_layer_residual": FLAG,
-                "interactions_trainable": FLAG,
-            },
-            "matrices",
-        )
-        model = cls(
-            payload["J"],
-            payload["J_prime"],
-            payload["L"],
-            payload["activation"],
-            rank=payload.get("rank_H"),
-            output_mode=payload.get("output_mode", "dense"),
-            first_layer_residual=payload.get("first_layer_residual", True),
-            interactions_trainable=payload.get("interactions_trainable", True),
-        )
-        matrices = payload["matrices"]
-
-        def load(name, declared):
-            if name not in matrices:
-                raise ValueError(f"model file is missing weight group '{name}'")
-            return weight_group(name, matrices[name], declared.shape)
-
-        for i, layer in enumerate(model.layers):
-            if model.rank is None:
-                model.layers[i] = load(f"layer{i}", layer)
-            else:
-                model.layers[i] = (load(f"layer{i}.left", layer[0]), load(f"layer{i}.right", layer[1]))
-        if model.output_mode != "identity":
-            model.readout = load("readout", model.readout)
-        return model

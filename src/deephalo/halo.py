@@ -379,6 +379,8 @@ def read_halo_csv(path) -> RelativeHaloTable:
     universe = header.get("universe")
     max_order = header.get("max_order")
     if universe is None:
+        if not entries:
+            raise DataFormatError(f"{path}: no alpha entries and no '# universe=' header")
         universe = 1 + max(max(j, k) for j, k, _ in entries)
     if max_order is None:
         max_order = max((len(t) for _, _, t in entries), default=0)

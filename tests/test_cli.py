@@ -163,6 +163,34 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--lr2", "0.5"], "--lr2 needs --lr-switch, an epoch >= 1; got 0"),
+        (["--lr-switch", "3"], "--lr-switch needs --lr2, a positive finite rate; got 0.0"),
+        (["--lr2", "0.5", "--lr-switch", "-3"], "--lr2 needs --lr-switch, an epoch >= 1; got -3"),
+        (["--lr2", "-0.5", "--lr-switch", "3"], "--lr-switch needs --lr2, a positive finite"),
+    ], ids=["rate-only", "switch-only", "negative-switch", "negative-rate"])
+    def test_half_or_bad_schedule_is_usage_error(
+        self, tmp_path, capsys, beverage_csv, flags, named
+    ):
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv),
+                   *flags, "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+    def test_config_lr_schedule_gets_the_flag_check(self, tmp_path, capsys, beverage_csv):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"model": "mnl", "lr_schedule": [0.1, 0.01, 0]}))
+        out = tmp_path / "m.json"
+        code = run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert "--lr-switch, an epoch >= 1; got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_cli_override(self, tmp_path, beverage_csv):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"model": "mnl", "epochs": 3, "lr": 0.1}))
@@ -351,6 +379,16 @@ class TestEval:
         assert set(payload) == {"nll", "accuracy", "rmse", "rmse_vs_truth"}
         assert payload["rmse_vs_truth"] < 0.2
 
+    def test_truth_with_repeated_set_exits_1(self, tmp_path, capsys, beverage_csv, trained_model):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("set,probs\n0;1,0.5;0.5\n0;1,0.9;0.1\n")
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(trained_model), "--data", str(beverage_csv),
+                   "--truth", str(truth), "-o", str(out))
+        assert code == 1
+        assert "line 3: set (0, 1) repeats line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_data_is_runtime_error(self, tmp_path, trained_model):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -418,6 +456,11 @@ def _no_feature_dim(payload):
     del payload["d_x"]
 
 
+def _with_group(payload, name):
+    payload["matrices"][name] = [[1.0]]
+    return payload
+
+
 class TestModelFileValidation:
     """A malformed model file fails at load with a message naming what is wrong."""
 
@@ -451,7 +494,14 @@ class TestModelFileValidation:
          "model file header key 'L' must be an integer, got 2.5"),
         (dict(FeaturelessModel.cmnl(3).to_json(), J_prime=None),
          "model file header key 'J_prime' must be an integer, got null"),
-    ], ids=["list", "string-size", "float-size", "null-size"])
+        (_with_group(FeaturelessModel.cmnl(3).to_json(), "layer7"),
+         "weight group 'layer7' is not in the declared architecture"),
+        (_with_group(FeaturelessModel.cmnl(3).to_json(), "readout"),
+         "weight group 'readout' is not in the declared architecture"),
+        (_with_group(FeaturelessModel.mnl(3).to_json(), "readuot"),
+         "weight group 'readuot' is not in the declared architecture"),
+    ], ids=["list", "string-size", "float-size", "null-size",
+            "layer-past-depth", "identity-readout", "misspelt-group"])
     def test_malformed_header_exits_1(self, tmp_path, capsys, command, payload, named):
         _, obs = _featured_inputs(tmp_path)
         model = tmp_path / "model.json"
@@ -531,6 +581,18 @@ class TestHalo:
         assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
         assert "error: line 1: header key 'universe'" in capsys.readouterr().err
         assert not svg.exists()
+
+    def test_render_only_entry_less_csv(self, tmp_path, capsys):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("pair_j,pair_k,source_set,alpha\n")
+        svg = tmp_path / "alpha.svg"
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
+        assert f"error: {alpha}: no alpha entries" in capsys.readouterr().err
+        assert not svg.exists()
+        # With its universe declared, an entry-less table renders empty.
+        alpha.write_text("# universe=3 max_order=2\npair_j,pair_k,source_set,alpha\n")
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 0
+        assert svg.read_text().startswith("<svg")
 
     @pytest.mark.parametrize("force", [1, "yes"])
     def test_config_force_must_be_a_boolean(self, tmp_path, capsys, trained_model, force):

@@ -276,6 +276,13 @@ class TestProbabilityTableIo:
         for k in table:
             np.testing.assert_array_equal(loaded[k], table[k])
 
+    @pytest.mark.parametrize("second", ["0;1,0.9;0.1", "1;0,0.1;0.9"])
+    def test_repeated_set_names_both_lines(self, tmp_path, second):
+        path = tmp_path / "t.csv"
+        path.write_text(f"set,probs\n0;1,0.5;0.5\n0;2,0.5;0.5\n{second}\n")
+        with pytest.raises(dat.DataFormatError, match=r"line 4: set \(0, 1\) repeats line 2"):
+            dat.load_probability_table(path)
+
 
 class TestSplits:
     def test_split_views(self):

@@ -11,7 +11,7 @@ from deephalo import data as dat
 from deephalo.featured import PREDICT_BLOCK, CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel, choice_probabilities
 
-from test_featureless import invert_effects
+from test_featureless import assert_follows_declarations, invert_effects
 
 
 def random_inputs(rng, d_x, real, width):
@@ -411,6 +411,12 @@ class TestModelFileValidation:
     def payload(self):
         return FeaturedModel(3, 4, 2, 2, seed=1).to_json()
 
+    @pytest.mark.parametrize("variant", ["heads", "resnet"])
+    def test_param_nodes_and_file_keys_follow_declarations(self, variant):
+        m = FeaturedModel(3, 4, 2, 2, variant=variant, seed=1)
+        assert_follows_declarations(m)
+        assert FeaturedModel.from_json(m.to_json()).to_json() == m.to_json()
+
     def test_wrong_shape_names_group(self):
         payload = self.payload()
         payload["weights"]["embed.w2"] = np.ones((2, 2)).tolist()
@@ -463,7 +469,7 @@ class TestModelFileValidation:
     def test_missing_and_extra_groups_named(self):
         payload = self.payload()
         del payload["weights"]["layer0.head1.b"]
-        with pytest.raises(ValueError, match="'layer0.head1.b' is missing"):
+        with pytest.raises(ValueError, match="missing weight group 'layer0.head1.b'"):
             FeaturedModel.from_json(payload)
         payload = self.payload()
         payload["weights"]["layer9.agg"] = [[0.0]]

@@ -306,6 +306,30 @@ class TestPresets:
             np.testing.assert_array_equal(pg, pm)
 
 
+PRESETS = {
+    "mnl": lambda: FeaturelessModel.mnl(3, seed=2),
+    "cmnl": lambda: FeaturelessModel.cmnl(3, seed=2),
+    "dense": lambda: FeaturelessModel(3, 5, 2, "quadratic", seed=2),
+    "rank-factored": lambda: FeaturelessModel(3, 5, 2, "linear", rank=2, seed=2),
+    "diagonal": lambda: FeaturelessModel(3, 4, 2, "quadratic", output_mode="diagonal", seed=2),
+    "identity-no-residual": lambda: FeaturelessModel(
+        3, 4, 2, "linear", output_mode="identity", first_layer_residual=False, seed=2
+    ),
+}
+
+
+def assert_follows_declarations(m):
+    """Parameters of exactly the trainable groups, file keys of exactly the header."""
+    trainable = {name for name, _ in m.trainables()}
+    nodes = m.make_param_nodes(trainable=True)
+    assert list(nodes) == [name for name, _ in m.groups()]
+    assert {name for name, node in nodes.items() if node.requires_grad} == trainable
+    assert not any(node.requires_grad for node in m.make_param_nodes(trainable=False).values())
+    payload = m.to_json()
+    assert set(payload) == set(m.HEADER) | {"format_version", "kind", m.GROUPS}
+    assert list(payload[m.GROUPS]) == list(nodes)
+
+
 class TestSerialization:
     def test_round_trip_dense(self, tmp_path):
         m = FeaturelessModel(4, 6, 2, "quadratic", seed=1)
@@ -327,7 +351,8 @@ class TestSerialization:
         )
 
     def test_round_trip_presets(self, tmp_path):
-        for m in (FeaturelessModel.mnl(3, seed=2), FeaturelessModel.cmnl(3, seed=2)):
+        for preset in PRESETS.values():
+            m = preset()
             path = tmp_path / "m.json"
             m.save(path)
             loaded = FeaturelessModel.load(path)
@@ -337,6 +362,21 @@ class TestSerialization:
             assert [n for n, _ in loaded.trainables()] == [
                 n for n, _ in m.trainables()
             ]
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_param_nodes_and_file_keys_follow_declarations(self, preset):
+        assert_follows_declarations(PRESETS[preset]())
+
+    @pytest.mark.parametrize("preset,group", [
+        ("cmnl", "layer7"),  # a layer index >= L
+        ("cmnl", "readout"),  # the identity readout is fixed, not stored
+        ("dense", "readuot"),
+    ])
+    def test_undeclared_group_named(self, preset, group):
+        payload = PRESETS[preset]().to_json()
+        payload["matrices"][group] = np.ones((3, 3)).tolist()
+        with pytest.raises(ValueError, match=f"weight group '{group}' is not in the declared"):
+            FeaturelessModel.from_json(payload)
 
     def test_wrong_shape_names_group(self):
         payload = FeaturelessModel(3, 5, 2, "linear", rank=2, seed=6).to_json()

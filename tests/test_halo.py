@@ -522,6 +522,19 @@ class TestExport:
         with pytest.raises(dat.DataFormatError, match=message):
             read_halo_csv(path)
 
+    def test_csv_without_entries_or_universe_names_file(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("pair_j,pair_k,source_set,alpha\n")
+        with pytest.raises(dat.DataFormatError, match="no alpha entries") as err:
+            read_halo_csv(path)
+        assert str(path) in str(err.value)
+
+    def test_csv_with_universe_but_no_entries_reads_empty(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("# universe=3 max_order=2\npair_j,pair_k,source_set,alpha\n")
+        table = read_halo_csv(path)
+        assert (table.universe, table.max_order, table.entries) == (3, 2, {})
+
     @pytest.mark.parametrize("header, message", [
         ("# universe=x max_order=1", "line 1: header key 'universe' must be an integer, got 'x'"),
         ("# universe=3 max_order=", "line 1: header key 'max_order' must be an integer, got ''"),
