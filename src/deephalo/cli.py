@@ -273,15 +273,22 @@ def _parse_rank(value) -> int | None:
 
 
 def _parse_schedule(conf: dict) -> tuple[float, float, int] | None:
-    """``(--lr, --lr2, --lr-switch)`` when either of the last two is set, else None."""
-    rate2, switch = conf["lr2"], conf["lr_switch"]
+    """``(--lr, --lr2, --lr-switch)`` when either of the last two is set, else None.
+
+    Checks ``--lr`` either way, so a bad rate is a usage error that names it.
+    """
+    rate, rate2, switch = conf["lr"], conf["lr2"], conf["lr_switch"]
+    if not 0 <= rate < math.inf:
+        raise UsageError(f"--lr must be a non-negative finite rate, got {rate}")
     if not rate2 and not switch:
         return None
+    if not rate > 0:
+        raise UsageError(f"--lr2 and --lr-switch need --lr, a positive rate; got {rate}")
     if not 0 < rate2 < math.inf:
         raise UsageError(f"--lr-switch needs --lr2, a positive finite rate; got {rate2}")
     if switch < 1:
         raise UsageError(f"--lr2 needs --lr-switch, an epoch >= 1; got {switch}")
-    return conf["lr"], rate2, switch
+    return rate, rate2, switch
 
 
 def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
@@ -348,9 +355,10 @@ def _cmd_train(args) -> int:
         raise UsageError("--items is only meaningful for deephalo-feat")
     with Manifest("train", conf, [conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
-        if conf["clip_norm"] < 0:
+        if not 0 <= conf["clip_norm"] < math.inf:
             raise UsageError(
-                f"--clip-norm must be non-negative (0 = no clipping), got {conf['clip_norm']}"
+                f"--clip-norm must be non-negative and finite (0 = no clipping), "
+                f"got {conf['clip_norm']}"
             )
         rank = _parse_rank(conf["rank"])
         schedule = _parse_schedule(conf)

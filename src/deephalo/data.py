@@ -249,12 +249,14 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
             )
         try:
             item = int(row[0])
-            vec = np.array([float(v) for v in row[1:]])
+            vec = [float(v) for v in row[1:]]
         except ValueError:
             raise DataFormatError(f"line {lineno}: cannot parse item row") from None
+        if not all(map(math.isfinite, vec)):
+            raise DataFormatError(f"line {lineno}: item {item} has a non-finite feature")
         if item in features:
             raise DataFormatError(f"line {lineno}: duplicate item id {item}")
-        features[item] = vec
+        features[item] = np.array(vec)
 
     obs_rows = _data_rows(obs_path)
     if not obs_rows:
@@ -274,9 +276,11 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
         ids = _parse_id_list(row[0], lineno)
         try:
             chosen = int(row[1])
-            shared = np.array([float(v) for v in row[2:]])
+            shared = [float(v) for v in row[2:]]
         except ValueError:
             raise DataFormatError(f"line {lineno}: cannot parse observation") from None
+        if not all(map(math.isfinite, shared)):
+            raise DataFormatError(f"line {lineno}: non-finite shared feature")
         if chosen not in ids:
             raise DataFormatError(f"line {lineno}: choice {chosen} not in set {ids}")
         missing = [i for i in ids if i not in features]
@@ -284,7 +288,7 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
             raise DataFormatError(
                 f"line {lineno}: item id {missing[0]} absent from items file"
             )
-        parsed.append((ids, chosen, shared))
+        parsed.append((ids, chosen, np.array(shared)))
     if not parsed:
         raise DataFormatError(f"{obs_path}: no observations after header")
 
@@ -358,24 +362,26 @@ def beverage_fixture() -> dict[tuple[int, ...], np.ndarray]:
     return {k: np.array(v) for k, v in table.items()}
 
 
-def _validate_table(table) -> None:
-    for ids, probs in table.items():
-        probs = np.asarray(probs, dtype=float)
-        if len(ids) != probs.size:
-            raise DataFormatError(f"set {ids} has {probs.size} probabilities")
-        if np.any(probs < 0):
-            raise DataFormatError(f"negative probability for set {ids}")
-        if abs(math.fsum(probs.tolist()) - 1.0) > PROB_SUM_TOL:
-            raise DataFormatError(
-                f"probabilities for set {ids} sum to {math.fsum(probs.tolist())!r}"
-            )
+def _check_probabilities(ids, probs, where: str = "") -> None:
+    """Raise unless ``probs`` is a distribution over ``ids``; ``where`` prefixes the message."""
+    probs = np.asarray(probs, dtype=float)
+    if len(ids) != probs.size:
+        raise DataFormatError(f"{where}set {ids} has {probs.size} probabilities")
+    if not np.all(np.isfinite(probs)):
+        raise DataFormatError(f"{where}non-finite probability for set {ids}")
+    if np.any(probs < 0):
+        raise DataFormatError(f"{where}negative probability for set {ids}")
+    total = math.fsum(probs.tolist())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise DataFormatError(f"{where}probabilities for set {ids} sum to {total!r}")
 
 
 def sample_choices(
     table: dict[tuple[int, ...], np.ndarray], n_per_set: int, seed: int
 ) -> Dataset:
     """Draw ``n_per_set`` iid choices from every set in the table."""
-    _validate_table(table)
+    for ids, probs in table.items():
+        _check_probabilities(ids, probs)
     rng = np.random.default_rng(seed)
     width = max(len(ids) for ids in table)
     universe = max(max(ids) for ids in table) + 1
@@ -476,6 +482,6 @@ def load_probability_table(path) -> dict[tuple[int, ...], np.ndarray]:
             probs = np.array([float(v) for v in row[1].split(";")])
         except ValueError:
             raise DataFormatError(f"line {lineno}: cannot parse probabilities") from None
+        _check_probabilities(ids, probs, f"line {lineno}: ")
         table[ids] = probs
-    _validate_table(table)
     return table

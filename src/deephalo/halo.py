@@ -90,43 +90,44 @@ def _check_cap(size: int, cap: int, what: str) -> None:
         )
 
 
-def _with(src: tuple[int, ...], item: int) -> tuple[int, ...]:
-    return tuple(sorted(src + (item,)))
-
-
 def _effects(
     model: SetUtilityModel,
     items: tuple[int, ...],
     ground: tuple[int, ...],
     max_size: int,
     partners: dict[int, set[int]] | None = None,
-) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+) -> tuple[dict[tuple[int, ...], int], np.ndarray, np.ndarray]:
     """Marginal effects of the small subsets of ``ground`` on each of ``items``.
 
-    Returns ``(cols, effects)`` with ``effects[r, cols[S]]`` = effect(items[r], S)
-    for every sorted S drawn from ``ground`` without ``items[r]`` and with
-    at most ``max_size`` ids.  When ``partners`` is given, a source of the
-    full ``max_size`` is kept for item j only if it holds one of
-    ``partners[j]``.  Cells outside that hold NaN.
+    Returns ``(cols, effects, plus)``.  ``cols`` numbers the lattice: every
+    sorted subset S of ``ground`` with at most ``max_size`` ids, by size
+    and then in lexicographic order.  ``effects[r, cols[S]]`` =
+    effect(items[r], S) for every S in it without ``items[r]``.  When
+    ``partners`` is given, a source of the full ``max_size`` is kept for
+    item j only if it holds one of ``partners[j]``.  Cells outside that
+    hold NaN.  ``plus[r, cols[S]]`` is the column of S + {items[r]}, or -1
+    where S holds ``items[r]`` or S + {items[r]} is not in the lattice.
 
     The first pass records, for each distinct offered set S + {j}, the
-    cells that read it; the utilities of all those sets then come from one
-    :func:`_set_utilities` call and fill the cells.  The alternating sums
-    are then one fast Moebius transform: for each ground id b in
-    ascending order, every subset holding b loses the value of the same
-    subset without b.  A cell reads only subsets of its own source, so a
-    valid cell never reads a NaN one, and its value comes out of the same
-    operations in the same order whatever else the array holds.
+    cells that read it and its column; the utilities of all those sets
+    then come from one :func:`_set_utilities` call and fill the cells.
+    The alternating sums are then one fast Moebius transform: for each
+    ground id b in ascending order, every subset holding b loses the value
+    of the same subset without b.  A cell reads only subsets of its own
+    source, so a valid cell never reads a NaN one, and its value comes out
+    of the same operations in the same order whatever else the array holds.
     """
     subsets = [s for size in range(max_size + 1) for s in combinations(ground, size)]
     cols = {s: c for c, s in enumerate(subsets)}
     width = len(subsets)
     # Each valid cell, as a flat index into ``effects``, reads slot ``slots``
-    # of the offered set numbered ``set_no`` in ``numbers``.
+    # of the offered set numbered ``set_no`` in ``numbers``, whose column is
+    # ``above``.
     numbers: dict[tuple[int, ...], int] = {}
     cells: list[int] = []
     set_no: list[int] = []
     slots: list[int] = []
+    above: list[int] = []
     for c, src in enumerate(subsets):
         full = len(src) == max_size and partners is not None
         for r, j in enumerate(items):
@@ -137,7 +138,9 @@ def _effects(
             cells.append(r * width + c)
             set_no.append(numbers.setdefault(offered, len(numbers)))
             slots.append(slot)
+            above.append(cols.get(offered, -1))
     effects = np.full((len(items), width), np.nan)
+    plus = np.full((len(items), width), -1)
     if cells:
         offered_sets = list(numbers)
         values = _set_utilities(model, offered_sets)
@@ -150,6 +153,7 @@ def _effects(
         # Every set's utilities end to end; a cell reads its set's start + slot.
         starts = np.cumsum([0] + [len(ids) for ids in offered_sets])
         effects.flat[cells] = np.concatenate(values)[starts[set_no] + slots]
+        plus.flat[cells] = above
     # The subsets holding each ground id b, and the same subsets without b.
     has: dict[int, list[int]] = {b: [] for b in ground}
     without: dict[int, list[int]] = {b: [] for b in ground}
@@ -159,16 +163,13 @@ def _effects(
             without[b].append(cols[src[:pos] + src[pos + 1 :]])
     for b in ground:
         effects[:, has[b]] -= effects[:, without[b]]
-    return cols, effects
+    return cols, effects, plus
 
 
-def _alphas(effects, cols, row_j, row_k, j, k, sources) -> np.ndarray:
-    """alpha(j, k, T) for each T in ``sources``, from the rows of j and k."""
-    t = [cols[src] for src in sources]
+def _alphas(effects, plus, row_j, row_k, t) -> np.ndarray:
+    """alpha(j, k, T) for each column T in ``t``, from the rows of j and k."""
     e_j, e_k = effects[row_j], effects[row_k]
-    return (e_j[t] + e_j[[cols[_with(s, k)] for s in sources]]) - (
-        e_k[t] + e_k[[cols[_with(s, j)] for s in sources]]
-    )
+    return (e_j[t] + e_j[plus[row_k, t]]) - (e_k[t] + e_k[plus[row_j, t]])
 
 
 def marginal_effect(
@@ -182,7 +183,7 @@ def marginal_effect(
     """
     src = _as_source(item, source)
     _check_cap(len(src), cap, f"marginal effect of {src} on item {item}")
-    cols, effects = _effects(model, (item,), src, len(src))
+    cols, effects, _ = _effects(model, (item,), src, len(src))
     return float(effects[0, cols[src]])
 
 
@@ -200,7 +201,7 @@ def reconstruct_utility(
         raise ValueError(f"item {item} is not offered in {ids}")
     others = tuple(i for i in ids if i != item)
     _check_cap(len(ids), cap, f"utility reconstruction over {ids}")
-    _, effects = _effects(model, (item,), others, len(others))
+    _, effects, _ = _effects(model, (item,), others, len(others))
     return math.fsum(effects[0].tolist())
 
 
@@ -218,8 +219,8 @@ def relative_halo(
     if k in src:
         raise ValueError(f"item {k} cannot appear in the source set {src}")
     _check_cap(len(src) + 1, cap, f"relative effect of {src} on ({j}, {k})")
-    cols, effects = _effects(model, (j, k), tuple(sorted(src + (j, k))), len(src) + 1)
-    return float(_alphas(effects, cols, 0, 1, j, k, [src])[0])
+    cols, effects, plus = _effects(model, (j, k), tuple(sorted(src + (j, k))), len(src) + 1)
+    return float(_alphas(effects, plus, 0, 1, [cols[src]])[0])
 
 
 def identifiability_count(n: int) -> int:
@@ -240,12 +241,6 @@ def identifiability_count(n: int) -> int:
 def _check_order(max_order: int) -> None:
     if max_order < 0:
         raise ValueError(f"max_order must be at least 0, got {max_order}")
-
-
-def _sources_for(universe: int, exclude: tuple[int, ...], max_order: int):
-    others = [i for i in range(universe) if i not in exclude]
-    for size in range(0, min(max_order, len(others)) + 1):
-        yield from combinations(others, size)
 
 
 @dataclass
@@ -287,11 +282,11 @@ def full_context_table(
     largest = min(max_order, n - 1)
     _check_cap(largest, cap, f"a source set of {largest} items")
     items = tuple(range(n))
-    cols, effects = _effects(model, items, items, largest)
+    cols, effects, _ = _effects(model, items, items, largest)
     table = ContextEffectTable(n, max_order)
     for item in items:
-        for src in _sources_for(n, (item,), max_order):
-            table.entries[(item, src)] = float(effects[item, cols[src]])
+        row = effects[item].tolist()
+        table.entries.update(((item, src), row[c]) for src, c in cols.items() if item not in src)
     return table
 
 
@@ -324,13 +319,15 @@ def full_relative_table(
     largest = min(max_order, n - 2) + 1
     _check_cap(largest, cap, f"a source set of {largest} items")
     items = tuple(sorted(partners))
-    cols, effects = _effects(model, items, tuple(range(n)), largest, partners)
+    cols, effects, plus = _effects(model, items, tuple(range(n)), largest, partners)
+    subsets = list(cols)
     row = {item: r for r, item in enumerate(items)}
     table = RelativeHaloTable(n, max_order)
     for j, k in pairs:
-        sources = list(_sources_for(n, (j, k), max_order))
-        alphas = _alphas(effects, cols, row[j], row[k], j, k, sources)
-        table.entries.update(zip(((j, k, src) for src in sources), alphas.tolist()))
+        # A pair's sources: the columns where both S + {j} and S + {k} are in the lattice.
+        t = np.flatnonzero((plus[row[j]] >= 0) & (plus[row[k]] >= 0))
+        alphas = _alphas(effects, plus, row[j], row[k], t)
+        table.entries.update(zip(((j, k, subsets[c]) for c in t.tolist()), alphas.tolist()))
     return table
 
 

@@ -181,6 +181,59 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--lr", "-1"], "--lr must be a non-negative finite rate, got -1.0"),
+        (["--lr", "nan"], "--lr must be a non-negative finite rate, got nan"),
+        (["--lr", "inf"], "--lr must be a non-negative finite rate, got inf"),
+        (["--lr", "0", "--lr2", "0.5", "--lr-switch", "3"],
+         "--lr2 and --lr-switch need --lr, a positive rate; got 0.0"),
+        (["--clip-norm", "nan"], "--clip-norm must be non-negative and finite"),
+        (["--clip-norm", "inf"], "--clip-norm must be non-negative and finite"),
+    ], ids=["negative-lr", "nan-lr", "inf-lr", "zero-lr-with-schedule", "nan-clip", "inf-clip"])
+    def test_bad_rate_or_clip_is_usage_error(self, tmp_path, capsys, beverage_csv, flags, named):
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv),
+                   *flags, "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+    @pytest.mark.parametrize("file_conf,named", [
+        ({"lr": -1}, "--lr must be a non-negative finite rate, got -1"),
+        ({"learning_rate": float("nan")}, "--lr must be a non-negative finite rate, got nan"),
+        ({"lr_schedule": [0, 0.5, 3]}, "--lr2 and --lr-switch need --lr, a positive rate; got 0"),
+        ({"clip_norm": float("nan")}, "--clip-norm must be non-negative and finite"),
+    ], ids=["negative-lr", "nan-learning-rate", "zero-lr-schedule", "nan-clip"])
+    def test_config_rate_and_clip_get_the_flag_check(
+        self, tmp_path, capsys, beverage_csv, file_conf, named
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"model": "mnl", **file_conf}))
+        out = tmp_path / "m.json"
+        code = run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+    def test_non_finite_feature_names_its_line(self, tmp_path, capsys):
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1\n0,0.5\n1,nan\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("set,choice\n0;1,0\n0;1,1\n")
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "deephalo-feat", "--items", str(items),
+                   "--data", str(obs), "--epochs", "1", "-o", str(out))
+        assert code == 1
+        assert "line 3: item 1 has a non-finite feature" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
     def test_config_lr_schedule_gets_the_flag_check(self, tmp_path, capsys, beverage_csv):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"model": "mnl", "lr_schedule": [0.1, 0.01, 0]}))
@@ -388,6 +441,20 @@ class TestEval:
         assert code == 1
         assert "line 3: set (0, 1) repeats line 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_truth_with_nan_probability_exits_1(
+        self, tmp_path, capsys, beverage_csv, trained_model
+    ):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("set,probs\n0;1,0.5;nan\n")
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(trained_model), "--data", str(beverage_csv),
+                   "--truth", str(truth), "-o", str(out))
+        assert code == 1
+        assert "line 2: non-finite probability for set (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
 
     def test_empty_data_is_runtime_error(self, tmp_path, trained_model):
         empty = tmp_path / "empty.csv"

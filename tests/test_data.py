@@ -160,6 +160,24 @@ class TestFeaturedCsv:
         padded = ds.observations[1].features
         np.testing.assert_array_equal(padded, [[2.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_item_feature_names_its_line(self, tmp_path, value):
+        items = tmp_path / "items.csv"
+        items.write_text(f"item_id,f1,f2\n0,1,2\n# a comment\n1,{value},4\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("set,choice\n0;1,1\n")
+        with pytest.raises(dat.DataFormatError, match="line 4: item 1 has a non-finite feature"):
+            dat.load_featured_csv(items, obs)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_shared_feature_names_its_line(self, tmp_path, value):
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1\n0,1.5\n1,-2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"set,choice,s1,s2\n0;1,0,5,6\n0;1,1,{value},6\n")
+        with pytest.raises(dat.DataFormatError, match="line 3: non-finite shared feature"):
+            dat.load_featured_csv(items, obs)
+
 
 class TestBeverageFixture:
     def test_pair_pepsi_coke(self):
@@ -206,6 +224,11 @@ class TestSampleChoices:
         with pytest.raises(dat.DataFormatError, match="sum"):
             dat.sample_choices({(0, 1): np.array([0.6, 0.5])}, 5, seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, value):
+        with pytest.raises(dat.DataFormatError, match=r"non-finite probability for set \(0, 1\)"):
+            dat.sample_choices({(0, 1): np.array([1.0, value])}, 5, seed=0)
+
 
 class TestSimplexGenerator:
     def test_membership(self):
@@ -239,6 +262,22 @@ class TestSimplexGenerator:
         ds, table = dat.gen_synthetic_simplex(20, 15, 3, 2, seed=3)
         assert len(table) == 3
         assert all(len(ids) == 15 for ids in table)
+
+    def test_rejection_sampling_past_the_enumeration_limit(self):
+        # C(30, 10) is above the 200,000 subsets that get enumerated, so the
+        # subsets are drawn one at a time and duplicates rejected.
+        assert math.comb(30, 10) > 200_000
+        ds, table = dat.gen_synthetic_simplex(30, 10, 3, 2, seed=1)
+        assert len(table) == 3
+        assert list(table) == sorted(table)
+        for ids in table:
+            assert len(ids) == 10 and list(ids) == sorted(set(ids))
+            assert all(type(i) is int and 0 <= i < 30 for i in ids)
+        assert len(ds) == 6 and ds.universe == 30
+        again_ds, again_table = dat.gen_synthetic_simplex(30, 10, 3, 2, seed=1)
+        assert again_ds == ds
+        assert list(again_table) == list(table)
+        assert all(again_table[ids].tolist() == table[ids].tolist() for ids in table)
 
 
 class TestEmpiricalFrequencies:
@@ -281,6 +320,19 @@ class TestProbabilityTableIo:
         path = tmp_path / "t.csv"
         path.write_text(f"set,probs\n0;1,0.5;0.5\n0;2,0.5;0.5\n{second}\n")
         with pytest.raises(dat.DataFormatError, match=r"line 4: set \(0, 1\) repeats line 2"):
+            dat.load_probability_table(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("0;2;3,0.5;0.5", r"line 4: set \(0, 2, 3\) has 2 probabilities"),
+        ("0;2,nan;0.5", r"line 4: non-finite probability for set \(0, 2\)"),
+        ("0;2,0.5;inf", r"line 4: non-finite probability for set \(0, 2\)"),
+        ("0;2,1.5;-0.5", r"line 4: negative probability for set \(0, 2\)"),
+        ("0;2,0.5;0.6", r"line 4: probabilities for set \(0, 2\) sum to 1\.1"),
+    ], ids=["length", "nan", "inf", "negative", "sum"])
+    def test_value_errors_name_their_line(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f"set,probs\n0;1,0.5;0.5\n\n{row}\n1;2,0.5;0.5\n")
+        with pytest.raises(dat.DataFormatError, match=message):
             dat.load_probability_table(path)
 
 

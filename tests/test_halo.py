@@ -305,6 +305,49 @@ class TestOneInversionPath:
             assert abs(value - expected) <= 1e-9
 
 
+def _relative_keys(n, max_order, pairs):
+    """(j, k, T) for each pair in turn, T by size and then in lexicographic order."""
+    return [
+        (j, k, src)
+        for j, k in pairs
+        for size in range(min(max_order, n - 2) + 1)
+        for src in itertools.combinations([i for i in range(n) if i not in (j, k)], size)
+    ]
+
+
+class TestTableKeys:
+    """Tables hold exactly the keys of an itertools enumeration, in its order."""
+
+    @pytest.mark.parametrize("max_order", [0, 1, 4, 6])
+    @pytest.mark.parametrize(
+        "pairs", [None, [(1, 4)], [(3, 5), (0, 5), (2, 3)]], ids=["all", "one", "three"]
+    )
+    def test_relative_keys_in_enumeration_order(self, max_order, pairs):
+        m = PlantedModel(6, seed=26)
+        table = full_relative_table(m, max_order, pairs=pairs)
+        listed = list(itertools.combinations(range(6), 2)) if pairs is None else pairs
+        assert list(table.entries) == _relative_keys(6, max_order, listed)
+
+    def test_context_keys_at_order_one(self):
+        m = PlantedModel(6, seed=27)
+        table = full_context_table(m, max_order=1)
+        assert list(table.entries) == [
+            (j, src) for j in range(6) for src in [()] + [(i,) for i in range(6) if i != j]
+        ]
+
+    def test_lone_call_equals_filtered_table_entry(self):
+        # At max_order 1 the lattice's top layer holds the pairs T + {k}, and
+        # the pair filter keeps only those holding the partner: S + {4} for
+        # item 1 and S + {1} for item 4.
+        m = PlantedModel(6, seed=28)
+        table = full_relative_table(m, max_order=1, pairs=[(1, 4)])
+        assert (1, 4, (3,)) in table.entries
+        for (j, k, src), value in table.entries.items():
+            assert relative_halo(m, j, k, src) == value
+            assert relative_halo(m, k, j, src) == -value
+            assert value == pytest.approx(m.planted_alpha(j, k, src), abs=1e-9)
+
+
 class TestForwardCount:
     @pytest.mark.parametrize("max_order", [0, 1, 2, 4, 7])
     def test_each_offered_set_once(self, max_order):
