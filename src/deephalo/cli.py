@@ -13,8 +13,10 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from . import data as dat
@@ -55,7 +57,11 @@ class Manifest:
     def __init__(self, command: str, config: dict, inputs: list[str]):
         self.payload = {
             "command": command,
-            "config": config,
+            # JSON has no NaN or infinity: a non-finite number is written as its repr.
+            "config": {
+                k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in config.items()
+            },
             "seed": config.get("seed"),
             "inputs": inputs,
             "outputs": [],
@@ -76,7 +82,8 @@ class Manifest:
         anchor = self.payload["outputs"][0] if self.payload["outputs"] else None
         if anchor is None:
             return
-        _atomic_write_text(f"{anchor}.manifest.json", json.dumps(self.payload, indent=2))
+        text = json.dumps(self.payload, indent=2, allow_nan=False)
+        _atomic_write_text(f"{anchor}.manifest.json", text)
 
     def __enter__(self) -> "Manifest":
         return self
@@ -326,6 +333,27 @@ def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
     raise UsageError(f"unknown model kind '{kind}'; choose from {MODEL_KINDS}")
 
 
+def _train_config(conf: dict, schedule) -> trn.TrainConfig:
+    """The run's TrainConfig; a value it rejects is a usage error that names the flag."""
+    try:
+        return trn.TrainConfig(
+            loss=conf["loss"],
+            learning_rate=conf["lr"],
+            batch_size=conf["batch"],
+            max_epochs=conf["epochs"],
+            patience=conf["patience"],
+            seed=conf["seed"],
+            lr_schedule=schedule,
+            clip_norm=conf["clip_norm"],
+        )
+    except ValueError as exc:
+        message = str(exc)
+        for field in fields(trn.TrainConfig):
+            flag = "--" + CONFIG_ALIASES.get(field.name, field.name).replace("_", "-")
+            message = re.sub(rf"\b{field.name}\b", flag, message)
+        raise UsageError(message) from None
+
+
 def _load_dataset(conf: dict, split: str) -> dat.Dataset:
     """The ``--data`` set, with the ``--split`` manifest's splits if given.
 
@@ -361,19 +389,9 @@ def _cmd_train(args) -> int:
                 f"got {conf['clip_norm']}"
             )
         rank = _parse_rank(conf["rank"])
-        schedule = _parse_schedule(conf)
+        config = _train_config(conf, _parse_schedule(conf))
         dataset = _load_dataset(conf, "train")
         model = _build_model(conf, dataset, rank)
-        config = trn.TrainConfig(
-            loss=conf["loss"],
-            learning_rate=conf["lr"],
-            batch_size=conf["batch"],
-            max_epochs=conf["epochs"],
-            patience=conf["patience"],
-            seed=conf["seed"],
-            lr_schedule=schedule,
-            clip_norm=conf["clip_norm"],
-        )
         model, history = trn.train(model, dataset, config)
         model.save(conf["out"])
         if conf["history"]:

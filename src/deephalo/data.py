@@ -5,6 +5,9 @@ ids ``0..universe-1``.  Each observation offers a subset of the universe
 (padded to a common width with dummy slots) and records the chosen id.
 Feature-based observations additionally carry a ``feature_dim x width``
 matrix whose dummy columns are exactly zero.
+
+Every CSV format is read through one table reader, ``_read_table``, which
+checks the header and each row's field count.
 """
 
 from __future__ import annotations
@@ -163,10 +166,34 @@ def csv_rows(fh, comments: list[tuple[int, str]] | None = None):
         yield lineno, row
 
 
-def _data_rows(path) -> list[tuple[int, list[str]]]:
-    """Rows of a comma CSV with '#' comment lines skipped, 1-based numbering."""
+def _read_table(
+    path, header: str, rows_required: bool = True, comments: list | None = None
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header names and the (line number, row) data rows of a comma CSV.
+
+    The first row that is not a comment must be ``header``, comma-joined;
+    one that ends in ``,...`` needs only its leading names.  Every data row
+    must have the header's field count, and unless ``rows_required`` is
+    false there must be one.  Each error names the file or the line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv_rows(fh))
+        numbered = list(csv_rows(fh, comments))
+    if not numbered:
+        raise DataFormatError(f"{path}: no header row, expected '{header}'")
+    (header_line, names), data_rows = numbered[0], numbered[1:]
+    names = [name.strip() for name in names]
+    want = header.removesuffix(",...").split(",")
+    if (names[: len(want)] if header.endswith(",...") else names) != want:
+        raise DataFormatError(
+            f"line {header_line}: expected header '{header}', got '{','.join(names)}'"
+        )
+    fields = len(names)
+    for lineno, row in data_rows:
+        if len(row) != fields:
+            raise DataFormatError(f"line {lineno}: expected {fields} fields, got {len(row)}")
+    if rows_required and not data_rows:
+        raise DataFormatError(f"{path}: no data rows after the header")
+    return names, data_rows
 
 
 def _parse_id_list(text: str, lineno: int) -> tuple[int, ...]:
@@ -181,36 +208,27 @@ def _parse_id_list(text: str, lineno: int) -> tuple[int, ...]:
     return ids
 
 
-def load_featureless_csv(path) -> Dataset:
-    """Read ``set,choice`` rows where ``set`` is a semicolon-joined id list."""
-    rows = _data_rows(path)
-    if not rows:
-        raise DataFormatError(f"{path}: empty dataset file")
-    header_line, header = rows[0]
-    if [h.strip() for h in header] != ["set", "choice"]:
-        raise DataFormatError(
-            f"line {header_line}: expected header 'set,choice', got {','.join(header)}"
-        )
-    id_lists: dict[str, tuple[int, ...]] = {}  # set text -> ids, parsed once
+def _parse_choices(rows) -> tuple[list[tuple[tuple[int, ...], int]], set[tuple[int, ...]]]:
+    """(ids, chosen) of each ``set,choice,...`` row and the distinct ids; set texts parse once."""
+    id_lists: dict[str, tuple[int, ...]] = {}
     parsed = []
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise DataFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+    for lineno, row in rows:
         ids = id_lists.get(row[0])
         if ids is None:
             ids = id_lists[row[0]] = _parse_id_list(row[0], lineno)
         try:
             chosen = int(row[1])
         except ValueError:
-            raise DataFormatError(
-                f"line {lineno}: cannot parse choice '{row[1]}'"
-            ) from None
+            raise DataFormatError(f"line {lineno}: cannot parse choice '{row[1]}'") from None
         if chosen not in ids:
             raise DataFormatError(f"line {lineno}: choice {chosen} not in set {ids}")
         parsed.append((ids, chosen))
-    if not parsed:
-        raise DataFormatError(f"{path}: no observations after header")
-    distinct = set(id_lists.values())
+    return parsed, set(id_lists.values())
+
+
+def load_featureless_csv(path) -> Dataset:
+    """Read ``set,choice`` rows where ``set`` is a semicolon-joined id list."""
+    parsed, distinct = _parse_choices(_read_table(path, "set,choice")[1])
     width = max(len(ids) for ids in distinct)
     universe = max(max(ids) for ids in distinct) + 1
     # Observations of one offered set share one ChoiceSet.
@@ -230,23 +248,15 @@ def write_featureless_csv(dataset: Dataset, path) -> None:
 def load_featured_csv(items_path, obs_path) -> Dataset:
     """Read an item-feature table plus observations with shared features.
 
-    Items file: ``item_id,f1..f{d}``.  Observations file:
-    ``set,choice,s1..s{k}``; each shared value is replicated into every
-    real item's column below the item-specific features.
+    Items file: ``item_id,f1..f{d}``, ids in any order, gaps allowed.
+    Observations file: ``set,choice,s1..s{k}``; each shared value is
+    replicated into every real item's column below its item's features.
     """
-    item_rows = _data_rows(items_path)
-    if not item_rows:
-        raise DataFormatError(f"{items_path}: empty items file")
-    header_line, header = item_rows[0]
-    if not header or header[0].strip() != "item_id":
-        raise DataFormatError(f"line {header_line}: items header must start 'item_id'")
+    header, item_rows = _read_table(items_path, "item_id,...")
     d_item = len(header) - 1
-    features: dict[int, np.ndarray] = {}
-    for lineno, row in item_rows[1:]:
-        if len(row) != d_item + 1:
-            raise DataFormatError(
-                f"line {lineno}: expected {d_item + 1} fields, got {len(row)}"
-            )
+    column: dict[int, int] = {}  # item id -> its column of the stacked item matrix
+    vectors = []
+    for lineno, row in item_rows:
         try:
             item = int(row[0])
             vec = [float(v) for v in row[1:]]
@@ -254,56 +264,32 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
             raise DataFormatError(f"line {lineno}: cannot parse item row") from None
         if not all(map(math.isfinite, vec)):
             raise DataFormatError(f"line {lineno}: item {item} has a non-finite feature")
-        if item in features:
+        if item in column:
             raise DataFormatError(f"line {lineno}: duplicate item id {item}")
-        features[item] = np.array(vec)
-
-    obs_rows = _data_rows(obs_path)
-    if not obs_rows:
-        raise DataFormatError(f"{obs_path}: empty observations file")
-    header_line, header = obs_rows[0]
-    if len(header) < 2 or header[0].strip() != "set" or header[1].strip() != "choice":
-        raise DataFormatError(
-            f"line {header_line}: observations header must start 'set,choice'"
-        )
-    d_shared = len(header) - 2
-    parsed = []
-    for lineno, row in obs_rows[1:]:
-        if len(row) != d_shared + 2:
-            raise DataFormatError(
-                f"line {lineno}: expected {d_shared + 2} fields, got {len(row)}"
-            )
-        ids = _parse_id_list(row[0], lineno)
+        column[item] = len(vectors)
+        vectors.append(vec)
+    catalog = np.array(vectors).T  # d_item x items
+    header, obs_rows = _read_table(obs_path, "set,choice,...")
+    parsed, distinct = _parse_choices(obs_rows)
+    width = max(len(ids) for ids in distinct)
+    d_total = d_item + len(header) - 2
+    observations = []
+    for (lineno, row), (ids, chosen) in zip(obs_rows, parsed):
         try:
-            chosen = int(row[1])
             shared = [float(v) for v in row[2:]]
         except ValueError:
-            raise DataFormatError(f"line {lineno}: cannot parse observation") from None
+            raise DataFormatError(f"line {lineno}: cannot parse shared features") from None
         if not all(map(math.isfinite, shared)):
             raise DataFormatError(f"line {lineno}: non-finite shared feature")
-        if chosen not in ids:
-            raise DataFormatError(f"line {lineno}: choice {chosen} not in set {ids}")
-        missing = [i for i in ids if i not in features]
+        missing = [i for i in ids if i not in column]
         if missing:
-            raise DataFormatError(
-                f"line {lineno}: item id {missing[0]} absent from items file"
-            )
-        parsed.append((ids, chosen, np.array(shared)))
-    if not parsed:
-        raise DataFormatError(f"{obs_path}: no observations after header")
-
-    width = max(len(ids) for ids, _, _ in parsed)
-    universe = max(max(f for f in features), max(max(ids) for ids, _, _ in parsed)) + 1
-    d_total = d_item + d_shared
-    observations = []
-    for ids, chosen, shared in parsed:
+            raise DataFormatError(f"line {lineno}: item id {missing[0]} absent from items file")
         x = np.zeros((d_total, width))
-        for slot, item in enumerate(ids):
-            x[:d_item, slot] = features[item]
-            if d_shared:
-                x[d_item:, slot] = shared
+        x[:d_item, : len(ids)] = catalog[:, [column[i] for i in ids]]
+        x[d_item:, : len(ids)] = np.reshape(shared, (-1, 1))
         observations.append(Observation(ChoiceSet(ids, width), chosen, x))
-    return Dataset(observations, universe=universe, feature_dim=d_total)
+    # Every offered id is in the items file, so the universe spans the items.
+    return Dataset(observations, universe=max(column) + 1, feature_dim=d_total)
 
 
 def save_split_manifest(splits: dict[str, list[int]], path) -> None:
@@ -462,17 +448,9 @@ def write_probability_table(table, path) -> None:
 
 
 def load_probability_table(path) -> dict[tuple[int, ...], np.ndarray]:
-    rows = _data_rows(path)
-    if not rows:
-        raise DataFormatError(f"{path}: empty table file")
-    header_line, header = rows[0]
-    if [h.strip() for h in header] != ["set", "probs"]:
-        raise DataFormatError(f"line {header_line}: expected header 'set,probs'")
     table = {}
     first_line: dict[tuple[int, ...], int] = {}  # sorted ids -> line
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise DataFormatError(f"line {lineno}: expected 2 fields")
+    for lineno, row in _read_table(path, "set,probs")[1]:
         ids = _parse_id_list(row[0], lineno)
         key = tuple(sorted(ids))
         if key in first_line:

@@ -37,7 +37,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import DataFormatError, csv_rows
+from .data import DataFormatError, _read_table
 
 MARGINAL_CAP = 12
 UNIVERSE_GUARD = 10
@@ -348,20 +348,17 @@ def write_halo_csv(table: RelativeHaloTable, path) -> None:
 def read_halo_csv(path) -> RelativeHaloTable:
     entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
     comments: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in csv_rows(fh, comments):
-            if row[0] == "pair_j":
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                j, k = int(row[0]), int(row[1])
-                src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
-                entries[(j, k, src)] = float(row[3])
-            except ValueError:
-                raise DataFormatError(
-                    f"line {lineno}: ids must be integers and alpha a number, got {','.join(row)!r}"
-                ) from None
+    rows = _read_table(path, "pair_j,pair_k,source_set,alpha", rows_required=False,
+                       comments=comments)[1]
+    for lineno, row in rows:
+        try:
+            j, k = int(row[0]), int(row[1])
+            src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
+            entries[(j, k, src)] = float(row[3])
+        except ValueError:
+            raise DataFormatError(
+                f"line {lineno}: ids must be integers and alpha a number, got {','.join(row)!r}"
+            ) from None
     header: dict[str, int] = {}
     for lineno, comment in comments:
         for token in comment.lstrip("#").split():
@@ -373,8 +370,7 @@ def read_halo_csv(path) -> RelativeHaloTable:
                     raise DataFormatError(
                         f"line {lineno}: header key '{key}' must be an integer, got {value!r}"
                     ) from None
-    universe = header.get("universe")
-    max_order = header.get("max_order")
+    universe, max_order = header.get("universe"), header.get("max_order")
     if universe is None:
         if not entries:
             raise DataFormatError(f"{path}: no alpha entries and no '# universe=' header")

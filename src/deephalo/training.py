@@ -53,11 +53,16 @@ class TrainConfig:
             if switch < 1:
                 raise ValueError("schedule switch epoch must be >= 1")
         if self.patience < 0 or self.patience > self.max_epochs:
-            raise ValueError("patience must lie in [0, max_epochs]")
+            raise ValueError(
+                f"patience must lie in [0, max_epochs], got {self.patience} "
+                f"with max_epochs {self.max_epochs}"
+            )
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
+            raise ValueError(f"max_epochs must be positive, got {self.max_epochs}")
         if self.batch_size < 0:
-            raise ValueError("batch_size must be non-negative (0 = full batch)")
+            raise ValueError(
+                f"batch_size must be non-negative (0 = full batch), got {self.batch_size}"
+            )
 
     def rate_for_epoch(self, epoch: int) -> float:
         if self.lr_schedule is None:

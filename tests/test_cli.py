@@ -144,14 +144,69 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
-    def test_negative_batch_fails_with_error_manifest(self, tmp_path, beverage_csv):
+    def test_negative_batch_fails_with_error_manifest(self, tmp_path, capsys, beverage_csv):
         code = run("train", "--model", "mnl", "--data", str(beverage_csv),
                    "--batch", "-4", "--epochs", "3", "-o", str(tmp_path / "m.json"))
-        assert code == 1
+        assert code == 2
+        assert "usage error: --batch must be non-negative" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert manifest["status"] == "error"
-        assert "batch_size" in manifest["error"]
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags,file_conf,named", [
+        (["--batch", "-4"], {"batch_size": -4},
+         "--batch must be non-negative (0 = full batch), got -4"),
+        (["--epochs", "0"], {"max_epochs": 0}, "--epochs must be positive, got 0"),
+        (["--patience", "-1"], {"patience": -1},
+         "--patience must lie in [0, --epochs], got -1 with --epochs 200"),
+        (["--patience", "5", "--epochs", "2"], {"patience": 5, "epochs": 2},
+         "--patience must lie in [0, --epochs], got 5 with --epochs 2"),
+    ], ids=["negative-batch", "zero-epochs", "negative-patience", "patience-past-epochs"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_training_range_is_usage_error_before_loading(
+        self, tmp_path, capsys, source, flags, file_conf, named
+    ):
+        # The data file does not exist: the range is checked before it is read.
+        given = flags
+        if source == "config":
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps(file_conf))
+            given = ["--config", str(conf)]
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(tmp_path / "absent.csv"),
+                   *given, "-o", str(out))
+        assert code == 2
+        assert f"usage error: {named}\n" == capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("error", "usage error")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--clip-norm", "inf"), ("--lr", "-inf"),
+    ], ids=["nan-lr", "inf-clip", "minus-inf-lr"])
+    def test_manifest_writes_non_finite_value_as_its_repr(
+        self, tmp_path, beverage_csv, flag, value
+    ):
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv),
+                   f"{flag}={value}", "--epochs", "1", "-o", str(out))
+        assert code == 2
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (tmp_path / "m.json.manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=refuse)
+        assert manifest["config"][flag[2:].replace("-", "_")] == value
+
+    def test_malformed_data_exits_1_naming_its_line(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("set,choice\n0;1,0\n0;1\n")
+        out = tmp_path / "m.json"
+        assert run("train", "--model", "mnl", "--data", str(data), "--epochs", "1",
+                   "-o", str(out)) == 1
+        assert "error: line 3: expected 2 fields, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_clip_norm_is_usage_error(self, tmp_path, capsys, beverage_csv):
         out = tmp_path / "m.json"
@@ -456,6 +511,18 @@ class TestEval:
         manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_header_only_truth_table_exits_1_naming_it(
+        self, tmp_path, capsys, beverage_csv, trained_model
+    ):
+        truth = tmp_path / "t.csv"
+        truth.write_text("set,probs\n")
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(trained_model), "--data", str(beverage_csv),
+                   "--truth", str(truth), "-o", str(out))
+        assert code == 1
+        assert f"error: {truth}: no data rows after the header" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_data_is_runtime_error(self, tmp_path, trained_model):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -639,6 +706,15 @@ class TestHalo:
         svg = tmp_path / "alpha.svg"
         assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
         assert "error: line 3:" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_render_only_csv_without_header_row_exits_1(self, tmp_path, capsys):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("# universe=2 max_order=0\n0,1,,0.5\n")
+        svg = tmp_path / "alpha.svg"
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
+        assert ("error: line 2: expected header 'pair_j,pair_k,source_set,alpha', got '0,1,,0.5'"
+                in capsys.readouterr().err)
         assert not svg.exists()
 
     def test_render_only_malformed_header_exits_1(self, tmp_path, capsys):

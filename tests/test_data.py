@@ -179,6 +179,124 @@ class TestFeaturedCsv:
             dat.load_featured_csv(items, obs)
 
 
+class TestFeaturedOracle:
+    """The loader's features == a per-slot assembly of the same files."""
+
+    @pytest.mark.parametrize("d_shared", [0, 2], ids=["no-shared", "two-shared"])
+    def test_features_equal_per_slot_assembly(self, tmp_path, d_shared):
+        rng = np.random.default_rng(7)
+        d_item = 3
+        item_ids = [9, 2, 5, 14]  # sparse, written out of order
+        vectors = {i: rng.normal(size=d_item) for i in item_ids}
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1,f2,f3\n" + "".join(
+            f"{i}," + ",".join(repr(float(v)) for v in vectors[i]) + "\n" for i in item_ids
+        ))
+        rows = []
+        for n in range(12):
+            size = 1 + n % 4
+            ids = tuple(int(i) for i in rng.permutation(item_ids)[:size])
+            rows.append((ids, ids[n % size], rng.normal(size=d_shared)))
+        obs = tmp_path / "obs.csv"
+        obs.write_text(",".join(["set", "choice"] + [f"s{i + 1}" for i in range(d_shared)])
+                       + "\n" + "".join(
+            ",".join([";".join(map(str, ids)), str(c)] + [repr(float(v)) for v in shared]) + "\n"
+            for ids, c, shared in rows
+        ))
+        ds = dat.load_featured_csv(items, obs)
+        width = max(len(ids) for ids, _, _ in rows)
+        assert (ds.universe, ds.feature_dim, ds.width) == (15, d_item + d_shared, width)
+        for o, (ids, chosen, shared) in zip(ds.observations, rows, strict=True):
+            expected = np.zeros((d_item + d_shared, width))
+            for slot, item in enumerate(ids):
+                expected[:d_item, slot] = vectors[item]
+                expected[d_item:, slot] = shared
+            assert (o.choice_set.items, o.chosen) == (ids, chosen)
+            assert o.features.shape == expected.shape and (o.features == expected).all()
+
+    @pytest.mark.parametrize("text, message", [
+        ("set,choice,s1\n0;1,x,5\n", "line 2: cannot parse choice 'x'"),
+        ("set,choice,s1\n0;1,0,y\n", "line 2: cannot parse shared features"),
+        ("set,choice,s1\n0;1,0,5\n0;3,3,5\n", "line 3: item id 3 absent from items file"),
+    ], ids=["choice", "shared", "unknown-item"])
+    def test_observation_value_errors_name_their_line(self, tmp_path, text, message):
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1\n0,1.5\n1,-2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(text)
+        with pytest.raises(dat.DataFormatError) as err:
+            dat.load_featured_csv(items, obs)
+        assert str(err.value) == message
+
+
+def _featured_items(path, tmp_path):
+    obs = tmp_path / "other.csv"
+    obs.write_text("set,choice\n0,0\n")
+    return dat.load_featured_csv(path, obs)
+
+
+def _featured_observations(path, tmp_path):
+    items = tmp_path / "other.csv"
+    items.write_text("item_id,f1\n0,1.5\n1,-2.0\n")
+    return dat.load_featured_csv(items, path)
+
+
+# Each file kind: its header, the header the reader names, a misspelt header,
+# a valid data row, and a load of the file (a valid partner file beside it).
+FILE_KINDS = {
+    "featureless": ("set,choice", "set,choice", "set,chosen", "0;1,0",
+                    lambda path, _: dat.load_featureless_csv(path)),
+    "items": ("item_id,f1", "item_id,...", "id,f1", "0,1.5", _featured_items),
+    "observations": ("set,choice,s1", "set,choice,...", "set,chosen,s1", "0;1,0,5",
+                     _featured_observations),
+    "truth": ("set,probs", "set,probs", "set,prob", "0;1,0.5;0.5",
+              lambda path, _: dat.load_probability_table(path)),
+}
+
+
+class TestTableReader:
+    """Every data file kind gets the same header, field-count and row checks."""
+
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    @pytest.mark.parametrize("case", [
+        "no-header-row", "comments-only", "wrong-header", "short-row", "long-row", "header-only",
+    ])
+    def test_malformed_file_names_its_line_or_file(self, tmp_path, kind, case):
+        header, named, wrong, row, load = FILE_KINDS[kind]
+        n = header.count(",") + 1
+        path = tmp_path / "table.csv"
+        text, message = {
+            "no-header-row": (f"# a comment\n{row}\n",
+                              f"line 2: expected header '{named}', got '{row}'"),
+            "comments-only": ("# a comment\n\n", f"{path}: no header row, expected '{named}'"),
+            "wrong-header": (f"{wrong}\n{row}\n",
+                             f"line 1: expected header '{named}', got '{wrong}'"),
+            "short-row": (f"{header}\n{row}\n{row.rsplit(',', 1)[0]}\n",
+                          f"line 3: expected {n} fields, got {n - 1}"),
+            "long-row": (f"{header}\n{row}\n{row},9\n",
+                         f"line 3: expected {n} fields, got {n + 1}"),
+            "header-only": (f"{header}\n# no rows\n", f"{path}: no data rows after the header"),
+        }[case]
+        path.write_text(text)
+        with pytest.raises(dat.DataFormatError) as err:
+            load(path, tmp_path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["featureless", "truth"])
+    def test_exact_header_rejects_an_extra_column(self, tmp_path, kind):
+        header, named, _, row, load = FILE_KINDS[kind]
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header},extra\n{row},1\n")
+        with pytest.raises(dat.DataFormatError) as err:
+            load(path, tmp_path)
+        assert str(err.value) == f"line 1: expected header '{named}', got '{header},extra'"
+
+    def test_header_names_may_carry_spaces(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(" set , choice \n0;1,1\n")
+        assert dat.load_featureless_csv(path).observations[0].chosen == 1
+
+
 class TestBeverageFixture:
     def test_pair_pepsi_coke(self):
         table = dat.beverage_fixture()

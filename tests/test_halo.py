@@ -554,6 +554,7 @@ class TestExport:
         "row, message",
         [
             ("0,2,", "line 4: expected 4 fields, got 3"),
+            ("0,2,,0.25,9", "line 4: expected 4 fields, got 5"),
             ("0,x,,0.25", "line 4: ids must be integers"),
             ("0,2,1;y,0.25", "line 4: ids must be integers"),
             ("0,2,1,big", "line 4: .* alpha a number"),
@@ -587,6 +588,26 @@ class TestExport:
         path.write_text(f"{header}\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n")
         with pytest.raises(dat.DataFormatError, match=message):
             read_halo_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# universe=3 max_order=0\n0,1,,0.5\n", "line 2: expected header '{h}', got '0,1,,0.5'"),
+        ("# universe=3 max_order=0\n\n", "{path}: no header row, expected '{h}'"),
+        ("pair_j,pair_k,source,alpha\n0,1,,0.5\n",
+         "line 1: expected header '{h}', got 'pair_j,pair_k,source,alpha'"),
+    ], ids=["no-header-row", "comments-only", "wrong-header"])
+    def test_csv_table_errors_name_line_or_file(self, tmp_path, text, message):
+        path = tmp_path / "alpha.csv"
+        h = "pair_j,pair_k,source_set,alpha"
+        path.write_text(text.format(h=h))
+        with pytest.raises(dat.DataFormatError) as err:
+            read_halo_csv(path)
+        assert str(err.value) == message.format(h=h, path=path)
+
+    def test_csv_of_an_empty_table_keeps_its_header_row(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        write_halo_csv(RelativeHaloTable(3, 2), path)
+        assert path.read_text() == "# universe=3 max_order=2\npair_j,pair_k,source_set,alpha\n"
+        assert read_halo_csv(path) == RelativeHaloTable(3, 2)
 
     def test_svg_self_contained_and_deterministic(self, tmp_path):
         m = PlantedModel(3, seed=15)

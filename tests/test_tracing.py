@@ -76,3 +76,23 @@ def test_tracer_counts_featured_batches_predict_blocks_and_halo_forwards():
     assert counts["featured.utilities_node.calls"] == 6 + 3 * blocks + forwards
     assert counts["autodiff.masked_log_softmax.calls"] == 6
     assert _hooks() == before
+
+
+def test_each_public_load_is_one_data_load_span(tmp_path):
+    """The loaders share private helpers, so no load shows up as two spans."""
+    before = _hooks()
+    data = tmp_path / "d.csv"
+    data.write_text("set,choice\n0;1,0\n1;2,2\n")
+    items = tmp_path / "items.csv"
+    items.write_text("item_id,f1\n0,0.5\n4,1.5\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("set,choice,s1\n0;4,4,1.0\n")
+    truth = tmp_path / "t.csv"
+    truth.write_text("set,probs\n0;1,0.25;0.75\n")
+    with tracing.Tracer() as tracer:
+        dat.load_featureless_csv(data)
+        dat.load_featured_csv(items, obs)
+        dat.load_probability_table(truth)
+    assert tracer.counts["data.load.calls"] == 3
+    assert [span[0] for span in tracer.spans] == ["data.load"] * 3
+    assert _hooks() == before
