@@ -280,13 +280,8 @@ def _parse_rank(value) -> int | None:
 
 
 def _parse_schedule(conf: dict) -> tuple[float, float, int] | None:
-    """``(--lr, --lr2, --lr-switch)`` when either of the last two is set, else None.
-
-    Checks ``--lr`` either way, so a bad rate is a usage error that names it.
-    """
+    """``(--lr, --lr2, --lr-switch)`` when either of the last two is set, else None."""
     rate, rate2, switch = conf["lr"], conf["lr2"], conf["lr_switch"]
-    if not 0 <= rate < math.inf:
-        raise UsageError(f"--lr must be a non-negative finite rate, got {rate}")
     if not rate2 and not switch:
         return None
     if not rate > 0:
@@ -383,11 +378,6 @@ def _cmd_train(args) -> int:
         raise UsageError("--items is only meaningful for deephalo-feat")
     with Manifest("train", conf, [conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
-        if not 0 <= conf["clip_norm"] < math.inf:
-            raise UsageError(
-                f"--clip-norm must be non-negative and finite (0 = no clipping), "
-                f"got {conf['clip_norm']}"
-            )
         rank = _parse_rank(conf["rank"])
         config = _train_config(conf, _parse_schedule(conf))
         dataset = _load_dataset(conf, "train")

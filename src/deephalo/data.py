@@ -1,10 +1,12 @@
 """Choice datasets: padding, CSV I/O, synthetic generators, fixtures.
 
-A dataset is a list of observations over a fixed universe of alternative
-ids ``0..universe-1``.  Each observation offers a subset of the universe
+A dataset holds observations over a fixed universe of alternative ids
+``0..universe-1``.  Each observation offers a subset of the universe
 (padded to a common width with dummy slots) and records the chosen id.
 Feature-based observations additionally carry a ``feature_dim x width``
-matrix whose dummy columns are exactly zero.
+matrix whose dummy columns are exactly zero.  A :class:`Dataset` keeps
+them as columns: the distinct offered sets once, and integer arrays that
+index them.
 
 Every CSV format is read through one table reader, ``_read_table``, which
 checks the header and each row's field count.
@@ -12,11 +14,12 @@ checks the header and each row's field count.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -90,47 +93,128 @@ class Observation:
         return self.choice_set.items.index(self.chosen)
 
 
-@dataclass
 class Dataset:
-    observations: list[Observation]
-    universe: int
-    feature_dim: int = 0
-    splits: dict[str, list[int]] | None = None
+    """Observations stored as columns over a fixed universe.
 
-    def __post_init__(self):
-        for obs in self.observations:
-            if max(obs.choice_set.items) >= self.universe:
-                raise DataFormatError(
-                    f"id {max(obs.choice_set.items)} outside universe "
-                    f"of size {self.universe}"
-                )
+    ``sets`` holds each distinct offered set once, as a shared
+    :class:`ChoiceSet`, in first-seen order.  Observation ``i`` offers
+    ``sets[set_index[i]]`` and chooses the id ``chosen[i]``, which sits in
+    slot ``slot[i]`` of that set.  Feature-based data stack the observations'
+    ``feature_dim x width`` blocks in ``features`` (observations x
+    feature_dim x the widest set's width; dummy columns, and columns past a
+    narrower set's width, are exactly zero); featureless data have
+    ``features`` None.
+
+    ``Dataset(observations, universe, feature_dim)`` turns a list of
+    :class:`Observation` into columns; :meth:`from_columns` takes columns
+    that a loader or a generator built.  :attr:`observations` and
+    :meth:`observations_for` build :class:`Observation` views on demand.
+    """
+
+    def __init__(
+        self,
+        observations: list[Observation],
+        universe: int,
+        feature_dim: int = 0,
+        splits: dict[str, list[int]] | None = None,
+    ):
+        shared: dict[ChoiceSet, int] = {}  # equal offered sets share the first one
+        set_index, chosen, slot = [], [], []
+        for obs in observations:
             have = 0 if obs.features is None else obs.features.shape[0]
-            if have != self.feature_dim:
+            if have != feature_dim:
                 raise DataFormatError(
-                    f"feature dim {have} differs from dataset dim {self.feature_dim}"
+                    f"feature dim {have} differs from dataset dim {feature_dim}"
                 )
+            set_index.append(shared.setdefault(obs.choice_set, len(shared)))
+            chosen.append(obs.chosen)
+            slot.append(obs.chosen_slot)
+        features = None
+        if feature_dim:
+            width = max((cs.width for cs in shared), default=0)
+            features = np.zeros((len(observations), feature_dim, width))
+            for block, obs in zip(features, observations):
+                block[:, : obs.features.shape[1]] = obs.features
+        self._store(list(shared), set_index, chosen, slot, universe, features, splits)
+
+    @classmethod
+    def from_columns(
+        cls, sets, set_index, chosen, slot, universe: int, features=None
+    ) -> "Dataset":
+        """A dataset of columns whose choices and features are already checked."""
+        dataset = cls.__new__(cls)
+        dataset._store(sets, set_index, chosen, slot, universe, features)
+        return dataset
+
+    def _store(self, sets, set_index, chosen, slot, universe, features, splits=None):
+        for cs in sets:
+            if max(cs.items) >= universe:
+                raise DataFormatError(
+                    f"id {max(cs.items)} outside universe of size {universe}"
+                )
+        self.sets: list[ChoiceSet] = sets
+        self.set_index = np.asarray(set_index, dtype=np.intp)
+        self.chosen = np.asarray(chosen, dtype=np.int64)
+        self.slot = np.asarray(slot, dtype=np.intp)
+        self.features: np.ndarray | None = features
+        self.universe = universe
+        self.feature_dim = 0 if features is None else features.shape[1]
+        self.splits = splits
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.set_index.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.universe, self.feature_dim, self.splits)
+            == (other.universe, other.feature_dim, other.splits)
+            and [self.sets[s] for s in self.set_index.tolist()]
+            == [other.sets[s] for s in other.set_index.tolist()]
+            and np.array_equal(self.chosen, other.chosen)
+            and (self.features is None) == (other.features is None)
+            and (self.features is None or np.array_equal(self.features, other.features))
+        )
 
     @property
     def width(self) -> int:
-        return max(o.choice_set.width for o in self.observations)
+        return max(cs.width for cs in self.sets)
+
+    def configuration(self, i: int) -> tuple[ChoiceSet, np.ndarray | None]:
+        """Observation ``i``'s offered set and feature block (None without features)."""
+        cs = self.sets[self.set_index[i]]
+        return cs, None if self.features is None else self.features[i, :, : cs.width]
+
+    @property
+    def observations(self) -> list[Observation]:
+        return self.observations_for(None)
 
     def observations_for(self, split: str | None) -> list[Observation]:
+        """:class:`Observation` views of ``split``, sharing their sets and feature blocks."""
+        views = []
+        for i in self.indices(split).tolist():
+            cs, x = self.configuration(i)
+            views.append(Observation(cs, int(self.chosen[i]), x))
+        return views
+
+    def indices(self, split: str | None = None) -> np.ndarray:
+        """Positions of the observations in ``split``; all when it or the splits are None."""
         if split is None or self.splits is None:
-            return self.observations
+            return np.arange(len(self))
         if split not in self.splits:
             raise KeyError(f"dataset has no '{split}' split")
-        return [self.observations[i] for i in self.splits[split]]
+        return np.asarray(self.splits[split], dtype=np.intp)
 
     def with_splits(self, splits: dict[str, list[int]]) -> "Dataset":
-        n = len(self.observations)
+        n = len(self)
         for name, idx in splits.items():
             bad = [i for i in idx if not 0 <= i < n]
             if bad:
                 raise DataFormatError(f"split '{name}' indexes out of range: {bad[:3]}")
-        return replace(self, splits=splits)
+        out = copy.copy(self)
+        out.splits = splits
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,41 +292,45 @@ def _parse_id_list(text: str, lineno: int) -> tuple[int, ...]:
     return ids
 
 
-def _parse_choices(rows) -> tuple[list[tuple[tuple[int, ...], int]], set[tuple[int, ...]]]:
-    """(ids, chosen) of each ``set,choice,...`` row and the distinct ids; set texts parse once."""
-    id_lists: dict[str, tuple[int, ...]] = {}
-    parsed = []
+def _parse_choices(rows):
+    """The distinct id tuples of ``set,choice,...`` rows, in first-seen order,
+    and each row's set index, chosen id and chosen slot; set texts parse once."""
+    by_text: dict[str, tuple[int, tuple[int, ...]]] = {}
+    by_ids: dict[tuple[int, ...], int] = {}
+    set_index, chosen, slot = [], [], []
     for lineno, row in rows:
-        ids = id_lists.get(row[0])
-        if ids is None:
-            ids = id_lists[row[0]] = _parse_id_list(row[0], lineno)
+        known = by_text.get(row[0])
+        if known is None:
+            ids = _parse_id_list(row[0], lineno)
+            known = by_text[row[0]] = by_ids.setdefault(ids, len(by_ids)), ids
+        s, ids = known
         try:
-            chosen = int(row[1])
+            c = int(row[1])
         except ValueError:
             raise DataFormatError(f"line {lineno}: cannot parse choice '{row[1]}'") from None
-        if chosen not in ids:
-            raise DataFormatError(f"line {lineno}: choice {chosen} not in set {ids}")
-        parsed.append((ids, chosen))
-    return parsed, set(id_lists.values())
+        try:
+            slot.append(ids.index(c))
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: choice {c} not in set {ids}") from None
+        set_index.append(s)
+        chosen.append(c)
+    return list(by_ids), set_index, chosen, slot
 
 
 def load_featureless_csv(path) -> Dataset:
     """Read ``set,choice`` rows where ``set`` is a semicolon-joined id list."""
-    parsed, distinct = _parse_choices(_read_table(path, "set,choice")[1])
-    width = max(len(ids) for ids in distinct)
-    universe = max(max(ids) for ids in distinct) + 1
-    # Observations of one offered set share one ChoiceSet.
-    choice_sets = {ids: ChoiceSet(ids, width) for ids in distinct}
-    observations = [Observation(choice_sets[ids], chosen) for ids, chosen in parsed]
-    return Dataset(observations, universe=universe)
+    distinct, set_index, chosen, slot = _parse_choices(_read_table(path, "set,choice")[1])
+    width = max(map(len, distinct))
+    sets = [ChoiceSet(ids, width) for ids in distinct]
+    return Dataset.from_columns(sets, set_index, chosen, slot, max(map(max, distinct)) + 1)
 
 
 def write_featureless_csv(dataset: Dataset, path) -> None:
+    texts = [";".join(map(str, cs.items)) for cs in dataset.sets]
+    rows = zip(dataset.set_index.tolist(), dataset.chosen.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("set,choice\n")
-        for obs in dataset.observations:
-            ids = ";".join(str(i) for i in obs.choice_set.items)
-            fh.write(f"{ids},{obs.chosen}\n")
+        fh.writelines(f"{texts[s]},{chosen}\n" for s, chosen in rows)
 
 
 def load_featured_csv(items_path, obs_path) -> Dataset:
@@ -268,28 +356,34 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
             raise DataFormatError(f"line {lineno}: duplicate item id {item}")
         column[item] = len(vectors)
         vectors.append(vec)
-    catalog = np.array(vectors).T  # d_item x items
     header, obs_rows = _read_table(obs_path, "set,choice,...")
-    parsed, distinct = _parse_choices(obs_rows)
-    width = max(len(ids) for ids in distinct)
-    d_total = d_item + len(header) - 2
-    observations = []
-    for (lineno, row), (ids, chosen) in zip(obs_rows, parsed):
+    distinct, set_index, chosen, slot = _parse_choices(obs_rows)
+    absent = [next((i for i in ids if i not in column), None) for ids in distinct]
+    shared = []
+    for (lineno, row), s in zip(obs_rows, set_index):
         try:
-            shared = [float(v) for v in row[2:]]
+            values = [float(v) for v in row[2:]]
         except ValueError:
             raise DataFormatError(f"line {lineno}: cannot parse shared features") from None
-        if not all(map(math.isfinite, shared)):
+        if not all(map(math.isfinite, values)):
             raise DataFormatError(f"line {lineno}: non-finite shared feature")
-        missing = [i for i in ids if i not in column]
-        if missing:
-            raise DataFormatError(f"line {lineno}: item id {missing[0]} absent from items file")
-        x = np.zeros((d_total, width))
-        x[:d_item, : len(ids)] = catalog[:, [column[i] for i in ids]]
-        x[d_item:, : len(ids)] = np.reshape(shared, (-1, 1))
-        observations.append(Observation(ChoiceSet(ids, width), chosen, x))
+        if absent[s] is not None:
+            raise DataFormatError(f"line {lineno}: item id {absent[s]} absent from items file")
+        shared.append(values)
+    width = max(map(len, distinct))
+    # Slot j of set s reads column cols[s, j] of the item matrix; a dummy
+    # slot reads the zero column appended past the items.
+    cols = np.full((len(distinct), width), len(vectors))
+    for s, ids in enumerate(distinct):
+        cols[s, : len(ids)] = [column[i] for i in ids]
+    catalog = np.array(vectors + [[0.0] * d_item]).T  # d_item x (items + 1)
+    slots = cols[set_index]  # observations x width
+    x = np.empty((len(obs_rows), d_item + len(header) - 2, width))
+    x[:, :d_item] = np.moveaxis(catalog[:, slots], 0, 1)
+    x[:, d_item:] = np.where((slots < len(vectors))[:, None, :], np.array(shared)[:, :, None], 0.0)
+    sets = [ChoiceSet(ids, width) for ids in distinct]
     # Every offered id is in the items file, so the universe spans the items.
-    return Dataset(observations, universe=max(column) + 1, feature_dim=d_total)
+    return Dataset.from_columns(sets, set_index, chosen, slot, max(column) + 1, x)
 
 
 def save_split_manifest(splits: dict[str, list[int]], path) -> None:
@@ -370,14 +464,19 @@ def sample_choices(
         _check_probabilities(ids, probs)
     rng = np.random.default_rng(seed)
     width = max(len(ids) for ids in table)
-    universe = max(max(ids) for ids in table) + 1
-    observations = []
+    draws = []
     for ids, probs in table.items():
         probs = np.asarray(probs, dtype=float)
-        draws = rng.choice(len(ids), size=n_per_set, p=probs / probs.sum())
-        cs = ChoiceSet(tuple(ids), width)
-        observations.extend(Observation(cs, ids[slot]) for slot in draws)
-    return Dataset(observations, universe=universe)
+        draws.append(rng.choice(len(ids), size=n_per_set, p=probs / probs.sum()))
+    sets = [ChoiceSet(tuple(ids), width) for ids in table]
+    return _drawn(sets, draws, max(max(ids) for ids in table) + 1)
+
+
+def _drawn(sets: list[ChoiceSet], draws: list[np.ndarray], universe: int) -> Dataset:
+    """The dataset of the slots ``draws[s]`` drawn from each ``sets[s]``, set by set."""
+    set_index = np.repeat(np.arange(len(sets)), [len(d) for d in draws])
+    chosen = np.concatenate([np.asarray(cs.items)[d] for cs, d in zip(sets, draws)])
+    return Dataset.from_columns(sets, set_index, chosen, np.concatenate(draws), universe)
 
 
 def gen_synthetic_simplex(
@@ -415,26 +514,23 @@ def gen_synthetic_simplex(
         w = rng.exponential(1.0, size=set_size)
         table[tuple(int(i) for i in ids)] = w / w.sum()
 
-    width = set_size
-    observations = []
-    for ids, probs in table.items():
-        draws = rng.choice(set_size, size=n_per_set, p=probs)
-        cs = ChoiceSet(ids, width)
-        observations.extend(Observation(cs, ids[slot]) for slot in draws)
-    dataset = Dataset(observations, universe=universe)
-    return dataset, table
+    draws = [rng.choice(set_size, size=n_per_set, p=probs) for probs in table.values()]
+    sets = [ChoiceSet(ids, set_size) for ids in table]
+    return _drawn(sets, draws, universe), table
 
 
 def empirical_frequencies(dataset: Dataset) -> dict[tuple[int, ...], np.ndarray]:
     """Observed choice-frequency vector per distinct offered set."""
-    if not dataset.observations:
+    if not len(dataset):
         raise DataFormatError("cannot compute frequencies of an empty dataset")
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for obs in dataset.observations:
-        key = tuple(sorted(obs.choice_set.items))
-        if key not in counts:
-            counts[key] = np.zeros(len(key))
-        counts[key][key.index(obs.chosen)] += 1.0
+    width = dataset.width
+    cells = dataset.set_index * width + dataset.slot
+    tally = np.bincount(cells, minlength=len(dataset.sets) * width).reshape(-1, width)
+    counts: dict[tuple[int, ...], np.ndarray] = {}  # sorted ids -> counts in id order
+    for cs, row in zip(dataset.sets, tally):
+        key = tuple(sorted(cs.items))
+        by_id = row[np.argsort(cs.items)]
+        counts[key] = counts[key] + by_id if key in counts else by_id
     return {k: v / v.sum() for k, v in counts.items()}
 
 

@@ -279,11 +279,11 @@ class FeaturedModel(ParameterStore):
     # the (features, mask) pair, and an observation's row in its utility
     # column is the chosen slot.
 
-    def group_key(self, obs):
-        if obs.features is None:
+    def group_key(self, choice_set, features):
+        if features is None:
             raise ValueError("featured model requires observations with features")
-        mask = obs.choice_set.mask
-        return (obs.features.tobytes(), mask.tobytes()), (obs.features, mask), obs.chosen_slot
+        mask = choice_set.mask
+        return (features.tobytes(), mask.tobytes()), (features, mask), range(mask.size)
 
     def loss_node(self, nodes, observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)

@@ -452,11 +452,11 @@ class FeaturelessModel(ParameterStore):
     # -- training hooks --------------------------------------------------------
     # Grouping and the loss head live in ``training``.  A configuration is
     # the sorted offered set, and an observation's row in its utility
-    # column is the chosen item id.
+    # column is the chosen item id: slot j's row is the id in slot j.
 
-    def group_key(self, obs):
-        ids = tuple(sorted(obs.choice_set.items))
-        return ids, ids, obs.chosen
+    def group_key(self, choice_set, features):
+        ids = tuple(sorted(choice_set.items))
+        return ids, ids, choice_set.items
 
     def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
         return training.observations_loss(self, nodes, observations, kind)

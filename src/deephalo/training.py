@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .data import Dataset
 
 LOSSES = ("nll", "mse_onehot")
 
@@ -38,14 +39,9 @@ class TrainConfig:
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
         for name in ("learning_rate", "clip_norm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.clip_norm < 0:
-            raise ValueError(
-                f"clip_norm must be non-negative (0 = no clipping), got {self.clip_norm!r}"
-            )
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         if self.lr_schedule is not None:
             r1, r2, switch = self.lr_schedule
             if not (0 < r1 < math.inf and 0 < r2 < math.inf):
@@ -167,30 +163,41 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 
 
 class Groups:
-    """A split grouped once by ``model.group_key``.
+    """The observations ``index`` of a dataset, grouped by ``model.group_key``.
 
-    ``group_key(obs)`` gives ``(key, configuration, row)``: the
-    configuration is what the model reads (the sorted offered set, or the
-    (features, mask) pair), the row is the observation's row in that
-    configuration's utility column (the chosen item id, or the chosen
-    slot).  ``configs`` holds one configuration per distinct key, in
-    first-seen order; for observation ``i``, ``group[i]`` is its position
-    in ``configs`` and ``row[i]`` its row.  No result depends on the group
-    order, since every reduction over groups is a sorted sum or an fsum.
+    ``group_key(choice_set, features)`` gives ``(key, configuration,
+    rows)``: the configuration is what the model reads (the sorted offered
+    set, or the (features, mask) pair), and ``rows[j]`` is the row in that
+    configuration's utility column of an observation that chooses slot
+    ``j`` (the item id, or the slot itself).  It is called once per stored
+    configuration that ``index`` reaches, in first-seen order: once per
+    offered set of featureless data, once per feature block of featured
+    data.  ``configs`` holds one configuration per distinct key, in
+    first-seen order; for observation ``index[i]``, ``group[i]`` is its
+    position in ``configs`` and ``row[i]`` its row, both read by array
+    indexing.  No result depends on the group order, since every reduction
+    over groups is a sorted sum or an fsum.
     """
 
-    def __init__(self, model, observations):
-        ids: dict = {}
-        self.configs, group, row = [], [], []
-        for obs in observations:
-            key, config, r = model.group_key(obs)
-            g = ids.setdefault(key, len(ids))
+    def __init__(self, model, dataset: Dataset, index: np.ndarray):
+        stored = index if dataset.features is not None else dataset.set_index[index]
+        _, first, inverse = np.unique(stored, return_index=True, return_inverse=True)
+        seen = np.argsort(first)  # the distinct stored configurations in first-seen order
+        rank = np.empty_like(seen)
+        rank[seen] = np.arange(seen.size)
+        keys: dict = {}
+        self.configs, group, start, rows = [], [], [], []
+        for i in index[first[seen]].tolist():
+            key, config, r = model.group_key(*dataset.configuration(i))
+            g = keys.setdefault(key, len(keys))
             if g == len(self.configs):
                 self.configs.append(config)
             group.append(g)
-            row.append(r)
-        self.group = np.array(group)
-        self.row = np.array(row)
+            start.append(len(rows))
+            rows.extend(r)
+        order = rank[inverse]  # each observation's stored configuration
+        self.group = np.array(group)[order]
+        self.row = np.array(rows)[np.array(start)[order] + dataset.slot[index]]
         self.rows = int(self.row.max()) + 1
 
     def __len__(self) -> int:
@@ -239,10 +246,16 @@ def _loss_head(model, nodes, groups: Groups, table: np.ndarray, kind: str) -> ad
 
 
 def observations_loss(model, nodes, observations, kind: str) -> ad.Node:
-    """:func:`_loss_head` over a list of observations, grouped here."""
+    """:func:`_loss_head` over a list of observations, turned into columns and grouped here."""
     if not observations:
         raise ValueError("empty batch")
-    groups = Groups(model, observations)
+    first = observations[0].features
+    dataset = Dataset(
+        observations,
+        universe=1 + max(max(obs.choice_set.items) for obs in observations),
+        feature_dim=0 if first is None else first.shape[0],
+    )
+    groups = Groups(model, dataset, dataset.indices())
     return _loss_head(model, nodes, groups, groups.counts(), kind)
 
 
@@ -262,13 +275,13 @@ def train(model, dataset, config: TrainConfig):
     With patience enabled the best-validation weights are restored at the
     end.  Returns ``(model, History)``.
     """
-    train_obs = dataset.observations_for("train")
-    if not train_obs:
+    train_index = dataset.indices("train")
+    if not train_index.size:
         raise ValueError("empty training split")
-    train_groups = Groups(model, train_obs)
+    train_groups = Groups(model, dataset, train_index)
     val_groups = train_groups
     if dataset.splits is not None and dataset.splits.get("val"):
-        val_groups = Groups(model, dataset.observations_for("val"))
+        val_groups = Groups(model, dataset, dataset.indices("val"))
 
     rng = np.random.default_rng(config.seed)
     state = AdamState(model.trainables())
@@ -277,7 +290,7 @@ def train(model, dataset, config: TrainConfig):
     best_snapshot = None
     bad_epochs = 0
     t = 0
-    n = len(train_obs)
+    n = train_index.size
 
     for epoch in range(1, config.max_epochs + 1):
         start = time.perf_counter()
@@ -346,10 +359,10 @@ def _metrics(model, groups: Groups) -> Metrics:
 
 def evaluate(model, dataset, split: str | None = None) -> Metrics:
     """Mean NLL, top-1 accuracy (lowest slot wins ties), frequency RMSE."""
-    observations = dataset.observations_for(split)
-    if not observations:
+    index = dataset.indices(split)
+    if not index.size:
         raise ValueError("cannot evaluate an empty dataset")
-    return _metrics(model, Groups(model, observations))
+    return _metrics(model, Groups(model, dataset, index))
 
 
 def rmse_vs_frequencies(model, table) -> float:

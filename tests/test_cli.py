@@ -213,7 +213,7 @@ class TestTrain:
         code = run("train", "--model", "mnl", "--data", str(beverage_csv),
                    "--clip-norm", "-1", "--epochs", "1", "-o", str(out))
         assert code == 2
-        assert "--clip-norm" in capsys.readouterr().err
+        assert "--clip-norm must be non-negative and finite, got -1.0" in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert manifest["status"] == "error"
@@ -237,13 +237,13 @@ class TestTrain:
         assert manifest["status"] == "error"
 
     @pytest.mark.parametrize("flags,named", [
-        (["--lr", "-1"], "--lr must be a non-negative finite rate, got -1.0"),
-        (["--lr", "nan"], "--lr must be a non-negative finite rate, got nan"),
-        (["--lr", "inf"], "--lr must be a non-negative finite rate, got inf"),
+        (["--lr", "-1"], "--lr must be non-negative and finite, got -1.0"),
+        (["--lr", "nan"], "--lr must be non-negative and finite, got nan"),
+        (["--lr", "inf"], "--lr must be non-negative and finite, got inf"),
         (["--lr", "0", "--lr2", "0.5", "--lr-switch", "3"],
          "--lr2 and --lr-switch need --lr, a positive rate; got 0.0"),
-        (["--clip-norm", "nan"], "--clip-norm must be non-negative and finite"),
-        (["--clip-norm", "inf"], "--clip-norm must be non-negative and finite"),
+        (["--clip-norm", "nan"], "--clip-norm must be non-negative and finite, got nan"),
+        (["--clip-norm", "inf"], "--clip-norm must be non-negative and finite, got inf"),
     ], ids=["negative-lr", "nan-lr", "inf-lr", "zero-lr-with-schedule", "nan-clip", "inf-clip"])
     def test_bad_rate_or_clip_is_usage_error(self, tmp_path, capsys, beverage_csv, flags, named):
         out = tmp_path / "m.json"
@@ -256,10 +256,10 @@ class TestTrain:
         assert manifest["status"] == "error"
 
     @pytest.mark.parametrize("file_conf,named", [
-        ({"lr": -1}, "--lr must be a non-negative finite rate, got -1"),
-        ({"learning_rate": float("nan")}, "--lr must be a non-negative finite rate, got nan"),
+        ({"lr": -1}, "--lr must be non-negative and finite, got -1"),
+        ({"learning_rate": float("nan")}, "--lr must be non-negative and finite, got nan"),
         ({"lr_schedule": [0, 0.5, 3]}, "--lr2 and --lr-switch need --lr, a positive rate; got 0"),
-        ({"clip_norm": float("nan")}, "--clip-norm must be non-negative and finite"),
+        ({"clip_norm": float("nan")}, "--clip-norm must be non-negative and finite, got nan"),
     ], ids=["negative-lr", "nan-learning-rate", "zero-lr-schedule", "nan-clip"])
     def test_config_rate_and_clip_get_the_flag_check(
         self, tmp_path, capsys, beverage_csv, file_conf, named

@@ -214,6 +214,37 @@ class TestFeaturedOracle:
             assert (o.choice_set.items, o.chosen) == (ids, chosen)
             assert o.features.shape == expected.shape and (o.features == expected).all()
 
+    def test_view_equals_per_row_observations(self, tmp_path):
+        """Negative shared values still leave the dummy columns +0.0, bit for bit."""
+        rng = np.random.default_rng(3)
+        vectors = {i: rng.normal(size=2) for i in range(5)}
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1,f2\n" + "".join(
+            f"{i},{float(v[0])!r},{float(v[1])!r}\n" for i, v in vectors.items()
+        ))
+        rows = []
+        for n in range(9):
+            ids = tuple(int(i) for i in rng.permutation(5)[: 2 + n % 3])
+            rows.append((ids, ids[-1], -np.abs(rng.normal(size=2))))
+        obs = tmp_path / "obs.csv"
+        obs.write_text("set,choice,s1,s2\n" + "".join(
+            f"{';'.join(map(str, ids))},{c},{float(s[0])!r},{float(s[1])!r}\n" for ids, c, s in rows
+        ))
+        ds = dat.load_featured_csv(items, obs)
+        per_row = []
+        for ids, chosen, shared in rows:
+            x = np.zeros((4, 4))
+            x[:2, : len(ids)] = np.array([vectors[i] for i in ids]).T
+            x[2:, : len(ids)] = shared[:, None]
+            per_row.append(dat.Observation(dat.ChoiceSet(ids, 4), chosen, x))
+        assert ds == dat.Dataset(per_row, universe=5, feature_dim=4)
+        for o, want in zip(ds.observations, per_row, strict=True):
+            assert (o.choice_set, o.chosen) == (want.choice_set, want.chosen)
+            assert o.features.tobytes() == want.features.tobytes()
+            dummies = o.features[:, len(o.choice_set.items) :]
+            assert (dummies == 0.0).all() and not np.signbit(dummies).any()
+        assert dat.Dataset(ds.observations, universe=5, feature_dim=4) == ds
+
     @pytest.mark.parametrize("text, message", [
         ("set,choice,s1\n0;1,x,5\n", "line 2: cannot parse choice 'x'"),
         ("set,choice,s1\n0;1,0,y\n", "line 2: cannot parse shared features"),
@@ -347,6 +378,21 @@ class TestSampleChoices:
         with pytest.raises(dat.DataFormatError, match=r"non-finite probability for set \(0, 1\)"):
             dat.sample_choices({(0, 1): np.array([1.0, value])}, 5, seed=0)
 
+    def test_columns_equal_per_row_draws(self):
+        """One draw call per set, in table order: the bytes `deephalo gen` writes."""
+        table = dat.beverage_fixture()
+        ds = dat.sample_choices(table, 200, seed=17)
+        rng = np.random.default_rng(17)
+        rows = []
+        for ids, probs in table.items():
+            for slot in rng.choice(len(ids), size=200, p=probs / probs.sum()):
+                rows.append(dat.Observation(dat.ChoiceSet(ids, 4), ids[slot]))
+        assert ds == dat.Dataset(rows, universe=4)
+        chosen = [o.chosen for o in ds.observations]
+        assert chosen[400:406] == [0, 3, 0, 3, 3, 0]  # the third set, (0, 3)
+        assert chosen[-6:] == [0, 2, 0, 2, 0, 3]
+        assert [len(ds.sets), ds.set_index.tolist()[::200]] == [11, list(range(11))]
+
 
 class TestSimplexGenerator:
     def test_membership(self):
@@ -363,6 +409,23 @@ class TestSimplexGenerator:
         draws = rng.exponential(1.0, size=(100_000, 3))
         draws /= draws.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(draws.mean(axis=0), 1 / 3, atol=0.005)
+
+    def test_columns_equal_per_row_draws(self):
+        ds, table = dat.gen_synthetic_simplex(6, 3, 4, 5, seed=19)
+        assert list(table) == [(0, 2, 5), (0, 3, 4), (1, 2, 3), (2, 4, 5)]
+        rng = np.random.default_rng(19)
+        rng.choice(math.comb(6, 3), size=4, replace=False)
+        for _ in table:
+            rng.exponential(1.0, size=3)
+        rows = [
+            dat.Observation(dat.ChoiceSet(ids, 3), ids[slot])
+            for ids, probs in table.items()
+            for slot in rng.choice(3, size=5, p=probs)
+        ]
+        assert ds == dat.Dataset(rows, universe=6)
+        assert [o.chosen for o in ds.observations] == [
+            2, 2, 5, 5, 0, 0, 0, 0, 3, 0, 1, 3, 1, 3, 2, 2, 2, 4, 4, 4
+        ]
 
     def test_exhaustive_enumeration(self):
         ds, table = dat.gen_synthetic_simplex(4, 2, 0, 3, seed=1)
@@ -392,6 +455,7 @@ class TestSimplexGenerator:
             assert len(ids) == 10 and list(ids) == sorted(set(ids))
             assert all(type(i) is int and 0 <= i < 30 for i in ids)
         assert len(ds) == 6 and ds.universe == 30
+        assert [o.chosen for o in ds.observations] == [0, 0, 17, 22, 21, 3]
         again_ds, again_table = dat.gen_synthetic_simplex(30, 10, 3, 2, seed=1)
         assert again_ds == ds
         assert list(again_table) == list(table)
@@ -407,6 +471,14 @@ class TestEmpiricalFrequencies:
         np.testing.assert_array_equal(
             dat.empirical_frequencies(ds)[(0, 1)], [0.75, 0.25]
         )
+
+    def test_orders_of_one_set_count_together(self):
+        rows = [((1, 0), 1), ((0, 1), 0), ((1, 0), 0), ((0, 2), 2), ((0, 1), 1), ((1, 0), 1)]
+        ds = dat.Dataset([dat.Observation(dat.ChoiceSet(ids, 2), c) for ids, c in rows], universe=3)
+        freq = dat.empirical_frequencies(ds)
+        assert list(freq) == [(0, 1), (0, 2)]
+        assert freq[(0, 1)].tolist() == [2 / 5, 3 / 5]
+        assert freq[(0, 2)].tolist() == [0.0, 1.0]
 
     def test_singleton(self):
         ds = dat.Dataset([dat.Observation(dat.ChoiceSet((2,), 1), 2)], universe=3)

@@ -96,3 +96,36 @@ def test_each_public_load_is_one_data_load_span(tmp_path):
     assert tracer.counts["data.load.calls"] == 3
     assert [span[0] for span in tracer.spans] == ["data.load"] * 3
     assert _hooks() == before
+
+
+def test_grouping_calls_group_key_once_per_distinct_configuration():
+    """Featureless data: one call per offered set and ``Groups`` built, not per
+    observation.  Featured data store one feature block per observation, so
+    there it stays one call per observation."""
+    ds = dat.sample_choices(dat.beverage_fixture(), 200, seed=8)  # 2,200 observations
+    halves = ds.with_splits({"train": list(range(0, 2200, 2)), "val": list(range(1, 2200, 2))})
+    model = FeaturelessModel.deephalo(4, width=6, depth=2, seed=1)
+    cfg = training.TrainConfig(max_epochs=2, batch_size=500, seed=0)
+    with tracing.Tracer() as tracer:
+        training.train(model, ds, cfg)  # one Groups: the training set validates
+        training.train(model, halves, cfg)  # two: train and val
+        training.evaluate(model, ds)
+        training.evaluate(model, halves, "val")
+    assert tracer.counts["featureless.group_key.calls"] == 11 * 5
+
+    rng = np.random.default_rng(5)
+    blocks = []
+    for real in (2, 3, 3):
+        x = np.zeros((3, 3))
+        x[:, :real] = rng.normal(size=(3, real))
+        blocks.append((tuple(range(real)), x))
+    observations = []
+    for i in range(40):  # equal blocks repeat, as in the grouping-contract tests
+        items, x = blocks[i % 3]
+        observations.append(dat.Observation(dat.ChoiceSet(items, 3), items[i % len(items)], x.copy()))
+    featured_ds = dat.Dataset(observations, universe=3, feature_dim=3)
+    model = featured.FeaturedModel(3, 4, 2, 2, seed=5)
+    with tracing.Tracer() as tracer:
+        training.train(model, featured_ds, training.TrainConfig(max_epochs=2, batch_size=16, seed=0))
+        training.evaluate(model, featured_ds)
+    assert tracer.counts["featured.group_key.calls"] == 40 * 2

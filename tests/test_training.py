@@ -1,7 +1,6 @@
 """Losses, the optimizer, the training loop, and evaluation metrics."""
 
 import copy
-import dataclasses
 import itertools
 import math
 
@@ -301,7 +300,7 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rate_or_clip_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative and finite, got {value!r}"):
             TrainConfig(**{field: value})
 
     def test_negative_clip_norm_rejected(self):
@@ -456,11 +455,13 @@ class TestGroupingContract:
             ds, model = _featureless_orders_dataset(), FeaturelessModel.deephalo(4, width=6, depth=2, seed=3)
         else:
             ds, model = _featured_repeats_dataset(), FeaturedModel(3, 4, 2, 2, seed=5)
-        reverse = dataclasses.replace(ds, observations=ds.observations[::-1])
+        reverse = dat.Dataset(ds.observations[::-1], universe=ds.universe, feature_dim=ds.feature_dim)
         twin = copy.deepcopy(model)
 
         def first_seen(data):
-            return list(dict.fromkeys(model.group_key(obs)[0] for obs in data.observations))
+            return list(dict.fromkeys(
+                model.group_key(obs.choice_set, obs.features)[0] for obs in data.observations
+            ))
 
         assert first_seen(reverse) != first_seen(ds)
         assert evaluate(model, reverse) == evaluate(model, ds)
