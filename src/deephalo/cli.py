@@ -433,14 +433,28 @@ def _cmd_eval(args) -> int:
                 "probabilities depend on each observation's features"
             )
         dataset = _load_dataset(conf, "test")
+        table = dat.load_probability_table(conf["truth"]) if conf["truth"] else {}
+        if model.kind == "featured" and conf["items"] and dataset.feature_dim != model.feature_dim:
+            raise dat.DataFormatError(
+                f"{conf['items']}: its items with the shared values of {conf['data']} give "
+                f"feature dimension {dataset.feature_dim}, but the model's is {model.feature_dim}"
+            )
+        sizes = [(conf["data"], dataset.universe)]
+        if table:
+            sizes.append((conf["truth"], 1 + max(map(max, table))))
+        for path, size in sizes:
+            if model.kind == "featureless" and size > model.universe:
+                raise dat.DataFormatError(
+                    f"{path}: its ids need a universe of size {size}, "
+                    f"but the model's has size {model.universe}"
+                )
         metrics = trn.evaluate(model, dataset, split="test" if conf["split"] else None)
         payload = {
             "nll": metrics.nll,
             "accuracy": metrics.accuracy,
             "rmse": metrics.rmse,
         }
-        if conf["truth"]:
-            table = dat.load_probability_table(conf["truth"])
+        if table:
             payload["rmse_vs_truth"] = trn.rmse_vs_frequencies(model, table)
         text = json.dumps(payload, indent=2)
         print(text)

@@ -9,16 +9,14 @@ them as columns: the distinct offered sets once, and integer arrays that
 index them.
 
 Every CSV format is read through one table reader, ``_read_table``, which
-checks the header and each row's field count.
+splits each line at commas and checks the header and each row's field count.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -222,46 +220,31 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def csv_rows(fh, comments: list[tuple[int, str]] | None = None):
-    """(line number, row) for each row of a comma CSV, 1-based numbering.
-
-    Blank lines and '#' comment lines are skipped; each comment line is
-    appended to ``comments`` as (line number, stripped line) when it is
-    given.  One reader parses the whole file, fed one line at a time; a
-    row must end on the line it starts on, so that every message can name
-    its line.
-    """
-    pending: deque[int] = deque()  # numbers of the lines fed but not yet parsed
-
-    def lines():
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                if comments is not None:
-                    comments.append((lineno, stripped))
-            elif stripped:
-                pending.append(lineno)
-                yield line
-
-    for row in csv.reader(lines()):
-        lineno = pending.popleft()
-        if pending:
-            raise DataFormatError(f"line {lineno}: quoted field runs past the end of the line")
-        yield lineno, row
-
-
 def _read_table(
     path, header: str, rows_required: bool = True, comments: list | None = None
-) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header names and the (line number, row) data rows of a comma CSV.
+) -> tuple[list[str], list[tuple[int, tuple[str, ...]]]]:
+    """The header names and the (line number, fields) data rows of a comma CSV.
+
+    A row is its line split at commas: a quote is an ordinary character.
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` and count from 1.  Blank
+    and '#' comment lines are skipped; each comment line is appended to
+    ``comments`` as (line number, stripped line) when it is given.
 
     The first row that is not a comment must be ``header``, comma-joined;
     one that ends in ``,...`` needs only its leading names.  Every data row
     must have the header's field count, and unless ``rows_required`` is
     false there must be one.  Each error names the file or the line.
     """
+    numbered = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        numbered = list(csv_rows(fh, comments))
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                if comments is not None:
+                    comments.append((lineno, stripped))
+            elif stripped:
+                # A tuple holds the fields without the list's spare slots.
+                numbered.append((lineno, tuple(line.rstrip("\r\n").split(","))))
     if not numbered:
         raise DataFormatError(f"{path}: no header row, expected '{header}'")
     (header_line, names), data_rows = numbered[0], numbered[1:]

@@ -437,9 +437,9 @@ class FeaturelessModel(ParameterStore):
 
     def batch_set_utilities(self, sets) -> list[np.ndarray]:
         """:meth:`set_utilities` of each set, all sets as columns of one tape."""
-        sets = [check_ids(ids, self.universe) for ids in sets]
+        sets = [tuple(ids) for ids in sets]  # utilities_node checks each one
         u, _ = self.utilities_node(self.make_param_nodes(trainable=False), sets)
-        return [u.value[list(ids), g] for g, ids in enumerate(sets)]
+        return [u.value[[int(i) for i in ids], g] for g, ids in enumerate(sets)]
 
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))

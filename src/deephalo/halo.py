@@ -345,20 +345,27 @@ def write_halo_csv(table: RelativeHaloTable, path) -> None:
             fh.write(f"{j},{k},{src_txt},{table.entries[(j, k, src)]!r}\n")
 
 
+def _entry_fault(j: int, k: int, src: tuple[int, ...], universe, max_order) -> str | None:
+    """Why :func:`write_halo_csv` never writes the entry (j, k, src), or None."""
+    ids = (j, k) + src
+    if j >= k:
+        return f"pair ({j}, {k}) must have pair_j < pair_k"
+    if min(ids) < 0:
+        return f"negative id {min(ids)}"
+    if universe is not None and max(ids) >= universe:
+        return f"id {max(ids)} outside universe of size {universe}"
+    if list(src) != sorted(set(src) - {j, k}):
+        return f"source set {src} must be sorted distinct ids without {j} or {k}"
+    if max_order is not None and len(src) > max_order:
+        return f"source set {src} has more than max_order={max_order} ids"
+    return None
+
+
 def read_halo_csv(path) -> RelativeHaloTable:
-    entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
+    """The table in a halo CSV; each entry must be one that :func:`write_halo_csv` writes."""
     comments: list[tuple[int, str]] = []
     rows = _read_table(path, "pair_j,pair_k,source_set,alpha", rows_required=False,
                        comments=comments)[1]
-    for lineno, row in rows:
-        try:
-            j, k = int(row[0]), int(row[1])
-            src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
-            entries[(j, k, src)] = float(row[3])
-        except ValueError:
-            raise DataFormatError(
-                f"line {lineno}: ids must be integers and alpha a number, got {','.join(row)!r}"
-            ) from None
     header: dict[str, int] = {}
     for lineno, comment in comments:
         for token in comment.lstrip("#").split():
@@ -371,10 +378,29 @@ def read_halo_csv(path) -> RelativeHaloTable:
                         f"line {lineno}: header key '{key}' must be an integer, got {value!r}"
                     ) from None
     universe, max_order = header.get("universe"), header.get("max_order")
+    entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
+    first_line: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for lineno, row in rows:
+        try:
+            j, k = int(row[0]), int(row[1])
+            src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()
+            alpha = float(row[3])
+        except ValueError:
+            raise DataFormatError(
+                f"line {lineno}: ids must be integers and alpha a number, got {','.join(row)!r}"
+            ) from None
+        fault = _entry_fault(j, k, src, universe, max_order)
+        if fault:
+            raise DataFormatError(f"line {lineno}: {fault}")
+        key = (j, k, src)
+        if key in first_line:
+            raise DataFormatError(f"line {lineno}: entry {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = alpha
     if universe is None:
         if not entries:
             raise DataFormatError(f"{path}: no alpha entries and no '# universe=' header")
-        universe = 1 + max(max(j, k) for j, k, _ in entries)
+        universe = 1 + max(max((j, k) + t) for j, k, t in entries)
     if max_order is None:
         max_order = max((len(t) for _, _, t in entries), default=0)
     return RelativeHaloTable(universe, max_order, entries)

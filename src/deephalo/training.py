@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import time
@@ -388,7 +387,8 @@ def rmse_vs_frequencies(model, table) -> float:
 
 def write_history_csv(history: History, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_nll", "lr", "wall_ms"])
-        for r in history.records:
-            writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_nll), repr(r.lr), f"{r.wall_ms:.3f}"])
+        fh.write("epoch,train_loss,val_nll,lr,wall_ms\n")
+        fh.writelines(
+            f"{r.epoch},{r.train_loss!r},{r.val_nll!r},{r.lr!r},{r.wall_ms:.3f}\n"
+            for r in history.records
+        )

@@ -547,6 +547,39 @@ class TestEval:
         manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    @pytest.mark.parametrize("target", ["data", "truth"])
+    def test_ids_beyond_the_model_universe_name_their_file(
+        self, tmp_path, capsys, beverage_csv, trained_model, target
+    ):
+        paths = {"data": beverage_csv, "truth": f"{beverage_csv}.truth.csv"}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("set,choice\n0;7,0\n" if target == "data" else "set,probs\n0;7,0.5;0.5\n")
+        paths[target] = bad
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(trained_model), "--data", str(paths["data"]),
+                   "--truth", str(paths["truth"]), "-o", str(out))
+        assert code == 1
+        assert (f"error: {bad}: its ids need a universe of size 8, but the model's has size 4"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_items_of_another_feature_dimension_name_the_file(self, tmp_path, capsys):
+        items = tmp_path / "items.csv"
+        items.write_text("item_id,f1,f2\n0,0.5,1.0\n1,-0.25,2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("set,choice\n0;1,0\n0;1,1\n")
+        model = tmp_path / "feat.json"
+        FeaturedModel(3, 4, 1, 1, seed=0).save(model)
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(model), "--data", str(obs),
+                   "--items", str(items), "-o", str(out))
+        assert code == 1
+        assert (f"error: {items}: its items with the shared values of {obs} give feature "
+                "dimension 2, but the model's is 3" in capsys.readouterr().err)
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
     def test_truth_with_featured_model_names_truth(self, tmp_path, capsys):
         items = tmp_path / "items.csv"
         items.write_text("item_id,f1\n0,0.5\n1,-0.25\n")
@@ -706,6 +739,15 @@ class TestHalo:
         svg = tmp_path / "alpha.svg"
         assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
         assert "error: line 3:" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_render_only_repeated_entry_exits_1(self, tmp_path, capsys):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("# universe=3 max_order=1\npair_j,pair_k,source_set,alpha\n"
+                         "0,1,,0.5\n0,1,,0.75\n")
+        svg = tmp_path / "alpha.svg"
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
+        assert "error: line 4: entry (0, 1, ()) repeats line 3" in capsys.readouterr().err
         assert not svg.exists()
 
     def test_render_only_csv_without_header_row_exits_1(self, tmp_path, capsys):

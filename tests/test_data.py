@@ -327,6 +327,61 @@ class TestTableReader:
         path.write_text(" set , choice \n0;1,1\n")
         assert dat.load_featureless_csv(path).observations[0].chosen == 1
 
+    @pytest.mark.parametrize("kind, row, message", [
+        ("featureless", '"0;1",0', "line 3: cannot parse set '\"0;1\"'"),
+        ("featureless", '0;1,"0"', "line 3: cannot parse choice '\"0\"'"),
+        ("truth", '"0;2",0.5;0.5', "line 3: cannot parse set '\"0;2\"'"),
+        ("items", '1,"1.5"', "line 3: cannot parse item row"),
+        ("observations", '0;1,0,"5"', "line 3: cannot parse shared features"),
+    ])
+    def test_quoted_field_fails_its_own_parse_at_its_line(self, tmp_path, kind, row, message):
+        header, _, _, valid, load = FILE_KINDS[kind]
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{valid}\n{row}\n")
+        with pytest.raises(dat.DataFormatError) as err:
+            load(path, tmp_path)
+        assert str(err.value) == message
+
+
+# Each file kind: a valid text with comments and blank lines, the same text
+# with a fault on line 6, and a load whose results compare with ==.
+LINE_ENDING_KINDS = {
+    "featureless": ("# c\nset,choice\n\n0;1,0\n# d\n2;0;1,2\n",
+                    "# c\nset,choice\n\n0;1,0\n# d\n2;0;1,5\n",
+                    dat.load_featureless_csv),
+    "truth": ("# c\nset,probs\n\n0;1,0.5;0.5\n# d\n0;1;2,0.25;0.25;0.5\n",
+              "# c\nset,probs\n\n0;1,0.5;0.5\n# d\n0;1;2,0.25;0.25\n",
+              lambda path: [(ids, probs.tolist())
+                            for ids, probs in dat.load_probability_table(path).items()]),
+}
+
+
+class TestLineEndings:
+    """A CRLF or lone-CR copy of a table loads and numbers its lines like the LF original."""
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("kind", LINE_ENDING_KINDS)
+    def test_copy_loads_equal_and_names_the_same_line(self, tmp_path, kind, ending):
+        valid, faulty, load = LINE_ENDING_KINDS[kind]
+        lf, copy = tmp_path / "lf.csv", tmp_path / "copy.csv"
+        lf.write_text(valid)
+        copy.write_bytes(valid.replace("\n", ending).encode())
+        assert load(copy) == load(lf)
+        messages = []
+        for path, text in ((lf, faulty), (copy, faulty.replace("\n", ending))):
+            path.write_bytes(text.encode())
+            with pytest.raises(dat.DataFormatError) as err:
+                load(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0].startswith("line 6: ")
+
+    def test_other_unicode_line_breaks_stay_inside_their_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("set,choice\n0;1,0\x0c\n0;1\u2028,1\n0;1,5\x85\n".encode())
+        with pytest.raises(dat.DataFormatError) as err:
+            dat.load_featureless_csv(path)
+        assert str(err.value) == "line 4: choice 5 not in set (0, 1)"
+
 
 class TestBeverageFixture:
     def test_pair_pepsi_coke(self):

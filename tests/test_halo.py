@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deephalo import data as dat
+from deephalo import featureless as fl
 from deephalo.featured import PREDICT_BLOCK, CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import (
@@ -465,6 +466,24 @@ class TestBatchedForwards:
                     values[order], m.set_utilities(tuple(sorted(ids)))
                 )
 
+    def test_featureless_checks_each_set_once(self, monkeypatch):
+        m = _featureless("quadratic", "dense", None)
+        checked = []
+        check = fl.check_ids
+        monkeypatch.setattr(fl, "check_ids", lambda ids, n: checked.append(ids) or check(ids, n))
+        table = full_relative_table(m, max_order=3)
+        assert len(checked) == len(set(checked)) == 2 ** m.universe - 1
+        monkeypatch.setattr(fl, "check_ids", check)
+        assert full_relative_table(m, max_order=3) == table
+        # Bad ids fail as before, and ids of any integer type are accepted.
+        for bad, message in [((0, 0), "duplicate ids"), ((0, 9), "outside universe"),
+                             ((), "empty choice set")]:
+            with pytest.raises(ValueError, match=message):
+                m.batch_set_utilities([(0, 1), bad])
+        np.testing.assert_array_equal(
+            m.batch_set_utilities([np.array([2, 0]), (2.0, 0.0)])[1], m.set_utilities((2, 0))
+        )
+
     def test_misshapen_utilities_rejected(self):
         class Short:
             """Its batch drops the first set."""
@@ -565,6 +584,52 @@ class TestExport:
         path.write_text(f"# universe=3 max_order=1\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n{row}\n")
         with pytest.raises(dat.DataFormatError, match=message):
             read_halo_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,,0.5\n0,1,,0.75", "line 4: entry (0, 1, ()) repeats line 3"),
+        ("0,1,2,0.5\n0,2,,0.25\n0,1,2,0.5", "line 5: entry (0, 1, (2,)) repeats line 3"),
+        ("1,0,2,0.1", "line 3: pair (1, 0) must have pair_j < pair_k"),
+        ("1,1,,0.1", "line 3: pair (1, 1) must have pair_j < pair_k"),
+        ("0,1,3;2,0.3", "line 3: source set (3, 2) must be sorted distinct ids without 0 or 1"),
+        ("0,2,2;1,0.3", "line 3: source set (2, 1) must be sorted distinct ids without 0 or 2"),
+        ("0,1,2;2,0.3", "line 3: source set (2, 2) must be sorted distinct ids without 0 or 1"),
+        ("0,2,2,0.3", "line 3: source set (2,) must be sorted distinct ids without 0 or 2"),
+        ("0,2,0,0.3", "line 3: source set (0,) must be sorted distinct ids without 0 or 2"),
+        ("-1,2,,0.3", "line 3: negative id -1"),
+        ("0,1,-2,0.3", "line 3: negative id -2"),
+        ("0,4,,0.3", "line 3: id 4 outside universe of size 4"),
+        ("0,1,5,0.2", "line 3: id 5 outside universe of size 4"),
+        ("0,1,2;3,0.2", "line 3: source set (2, 3) has more than max_order=1 ids"),
+    ], ids=["repeat", "repeat-later", "pair-reversed", "pair-equal", "source-unsorted",
+            "source-unsorted-holds-k", "source-repeats", "source-holds-k", "source-holds-j",
+            "negative-pair-id", "negative-source-id", "pair-id-past-universe",
+            "source-id-past-universe", "source-past-max-order"])
+    def test_csv_entry_it_never_writes_reports_line(self, tmp_path, rows, message):
+        path = tmp_path / "alpha.csv"
+        path.write_text(f"# universe=4 max_order=1\npair_j,pair_k,source_set,alpha\n{rows}\n")
+        with pytest.raises(dat.DataFormatError) as err:
+            read_halo_csv(path)
+        assert str(err.value) == message
+
+    def test_csv_without_header_line_infers_universe_from_every_id(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("pair_j,pair_k,source_set,alpha\n0,1,,0.5\n0,1,3,0.25\n")
+        assert (read_halo_csv(path).universe, read_halo_csv(path).max_order) == (4, 1)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_csv_copy_with_other_line_endings_reads_equal(self, tmp_path, ending):
+        lf, copy = tmp_path / "lf.csv", tmp_path / "copy.csv"
+        write_halo_csv(full_relative_table(PlantedModel(4, seed=14), max_order=2), lf)
+        copy.write_bytes(lf.read_bytes().replace(b"\n", ending.encode()))
+        assert read_halo_csv(copy) == read_halo_csv(lf)
+        messages = []
+        for path in (lf, copy):
+            text = path.read_bytes().decode().replace("0,1,,", "0,1,x,", 1)
+            path.write_bytes(text.encode())
+            with pytest.raises(dat.DataFormatError) as err:
+                read_halo_csv(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0].startswith("line 3: ")
 
     def test_csv_without_entries_or_universe_names_file(self, tmp_path):
         path = tmp_path / "alpha.csv"

@@ -24,6 +24,7 @@ from deephalo.training import (
     nll_loss,
     rmse_vs_frequencies,
     train,
+    write_history_csv,
 )
 
 
@@ -112,6 +113,21 @@ class TestTrainLoop:
         m, _ = train(m, ds, cfg)
         fitted = m.probabilities((0, 1))[0]
         assert abs(fitted - 0.98) <= 0.01
+
+    def test_history_csv_is_plain_lines_ending_in_lf(self, tmp_path):
+        ds = dat.sample_choices(dat.beverage_fixture(), 20, seed=1)
+        cfg = TrainConfig(loss="nll", learning_rate=0.1, max_epochs=3, seed=0)
+        _, hist = train(FeaturelessModel.mnl(4, seed=0), ds, cfg)
+        path = tmp_path / "h.csv"
+        write_history_csv(hist, path)
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        lines = data.decode().split("\n")[:-1]
+        assert lines[0] == "epoch,train_loss,val_nll,lr,wall_ms"
+        assert lines[1:] == [
+            f"{r.epoch},{r.train_loss!r},{r.val_nll!r},{r.lr!r},{r.wall_ms:.3f}"
+            for r in hist.records
+        ]
 
     def test_zero_learning_rate_changes_nothing(self):
         table = dat.beverage_fixture()
