@@ -427,6 +427,8 @@ def _cmd_eval(args) -> int:
         model = _load_model(conf["model_file"])
         if model.kind != "featured" and conf["items"]:
             raise UsageError("--items is only meaningful for a featured model")
+        if model.kind == "featured" and not conf["items"]:
+            raise UsageError("a featured model needs its data's item features (--items)")
         if model.kind == "featured" and conf["truth"]:
             raise UsageError(
                 "--truth needs a featureless model: a featured model's "
@@ -434,7 +436,7 @@ def _cmd_eval(args) -> int:
             )
         dataset = _load_dataset(conf, "test")
         table = dat.load_probability_table(conf["truth"]) if conf["truth"] else {}
-        if model.kind == "featured" and conf["items"] and dataset.feature_dim != model.feature_dim:
+        if model.kind == "featured" and dataset.feature_dim != model.feature_dim:
             raise dat.DataFormatError(
                 f"{conf['items']}: its items with the shared values of {conf['data']} give "
                 f"feature dimension {dataset.feature_dim}, but the model's is {model.feature_dim}"
@@ -470,12 +472,12 @@ def _cmd_eval(args) -> int:
 def _parse_pair(text: str) -> tuple[int, int]:
     """``"j,k"`` as the ordered pair (min, max) of two item ids."""
     try:
-        j, k = (int(v) for v in text.split(","))
+        j, k = sorted(int(v) for v in text.split(","))
     except ValueError:
-        raise UsageError(
-            f"--pair must be two item ids, e.g. 1,2; got {text!r}"
-        ) from None
-    return min(j, k), max(j, k)
+        j = k = -1
+    if j < 0 or j == k:
+        raise UsageError(f"--pair must be two distinct item ids >= 0, e.g. 1,2; got {text!r}")
+    return j, k
 
 
 def _cmd_halo(args) -> int:
@@ -500,6 +502,11 @@ def _cmd_halo(args) -> int:
             raise ValueError(
                 "halo extraction from the CLI needs a featureless model; "
                 "feature-based models require an item catalog (see CatalogSetModel)"
+            )
+        if pairs and pairs[0][1] >= model.universe:
+            raise ValueError(
+                f"--pair {conf['pair']}: item {pairs[0][1]} is outside the model's "
+                f"universe of size {model.universe}"
             )
         table = hal.full_relative_table(
             model, conf["max_order"], pairs=pairs, force=conf["force"]

@@ -30,7 +30,6 @@ by design, guarded by explicit caps rather than sampling.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Protocol
@@ -100,69 +99,66 @@ def _effects(
     """Marginal effects of the small subsets of ``ground`` on each of ``items``.
 
     Returns ``(cols, effects, plus)``.  ``cols`` numbers the lattice: every
-    sorted subset S of ``ground`` with at most ``max_size`` ids, by size
-    and then in lexicographic order.  ``effects[r, cols[S]]`` =
-    effect(items[r], S) for every S in it without ``items[r]``.  When
-    ``partners`` is given, a source of the full ``max_size`` is kept for
-    item j only if it holds one of ``partners[j]``.  Cells outside that
-    hold NaN.  ``plus[r, cols[S]]`` is the column of S + {items[r]}, or -1
-    where S holds ``items[r]`` or S + {items[r]} is not in the lattice.
+    sorted subset S of the ids of ``ground`` and ``items`` with at most
+    ``max_size`` ids, by size and then in lexicographic order.
+    ``effects[r, cols[S]]`` = effect(items[r], S) for every S in it without
+    ``items[r]``.  When ``partners`` is given, a source of the full
+    ``max_size`` is kept for item j only if it holds one of ``partners[j]``.
+    Cells outside that hold NaN.  ``plus[r, cols[S]]`` is the column of
+    S + {items[r]}, or -1 where S holds ``items[r]`` or S + {items[r]} is
+    not in the lattice.
 
-    The first pass records, for each distinct offered set S + {j}, the
-    cells that read it and its column; the utilities of all those sets
-    then come from one :func:`_set_utilities` call and fill the cells.
-    The alternating sums are then one fast Moebius transform: for each
-    ground id b in ascending order, every subset holding b loses the value
-    of the same subset without b.  A cell reads only subsets of its own
-    source, so a valid cell never reads a NaN one, and its value comes out
-    of the same operations in the same order whatever else the array holds.
+    All of it is read off one successor table ``up``: ``up[i, c]`` is the
+    column of S + {ids[i]} among the subsets of up to ``max_size + 1`` ids,
+    where S is lattice column c, or -1 where S holds ids[i].  A cell's
+    offered set is its ``up`` entry; the utilities of all the distinct ones
+    come from one :func:`_set_utilities` call.  The alternating sums are
+    then one fast Moebius transform: for each id b in ascending order, every
+    lattice subset holding b loses the value of the same subset without b,
+    ``effects[:, up[b, S]] -= effects[:, S]``.  A cell reads only subsets of
+    its own source, so a valid cell never reads a NaN one, and its value
+    comes out of the same operations in the same order whatever else the
+    array holds.
     """
-    subsets = [s for size in range(max_size + 1) for s in combinations(ground, size)]
-    cols = {s: c for c, s in enumerate(subsets)}
-    width = len(subsets)
-    # Each valid cell, as a flat index into ``effects``, reads slot ``slots``
-    # of the offered set numbered ``set_no`` in ``numbers``, whose column is
-    # ``above``.
-    numbers: dict[tuple[int, ...], int] = {}
-    cells: list[int] = []
-    set_no: list[int] = []
-    slots: list[int] = []
-    above: list[int] = []
-    for c, src in enumerate(subsets):
-        full = len(src) == max_size and partners is not None
-        for r, j in enumerate(items):
-            if j in src or (full and partners[j].isdisjoint(src)):
-                continue
-            slot = bisect_left(src, j)
-            offered = src[:slot] + (j,) + src[slot:]
-            cells.append(r * width + c)
-            set_no.append(numbers.setdefault(offered, len(numbers)))
-            slots.append(slot)
-            above.append(cols.get(offered, -1))
-    effects = np.full((len(items), width), np.nan)
-    plus = np.full((len(items), width), -1)
-    if cells:
-        offered_sets = list(numbers)
+    ids = tuple(sorted(set(ground) | set(items)))
+    subsets = [s for size in range(max_size + 2) for s in combinations(ids, size)]
+    cols = {s: c for c, s in enumerate(subsets) if len(s) <= max_size}
+    width = len(cols)
+    index = {b: i for i, b in enumerate(ids)}
+    up = np.full((len(ids), width), -1)
+    for c, s in enumerate(subsets):
+        for pos, b in enumerate(s):
+            up[index[b], cols[s[:pos] + s[pos + 1 :]]] = c
+    held = up < 0  # held[i, c]: lattice column c holds ids[i]
+    rows = np.array([index[j] for j in items], dtype=int)
+    succ = up[rows]
+    valid = succ >= 0
+    if partners is not None:
+        near = np.array([[b in partners[j] for b in ids] for j in items], dtype=bool)
+        valid &= (held.sum(axis=0) < max_size) | (near.reshape(len(items), len(ids)) @ held)
+    offered = np.flatnonzero(np.bincount(succ[valid], minlength=len(subsets)))
+    utilities = np.full((len(ids), len(subsets)), np.nan)
+    if offered.size:
+        offered_sets = [subsets[o] for o in offered.tolist()]
         values = _set_utilities(model, offered_sets)
-        for ids, vals in zip(offered_sets, values):
-            if np.shape(vals) != (len(ids),):
+        for s, vals in zip(offered_sets, values):
+            if np.shape(vals) != (len(s),):
                 raise ValueError(
-                    f"utilities of offered set {ids} have shape {np.shape(vals)}, "
-                    f"expected ({len(ids)},)"
+                    f"utilities of offered set {s} have shape {np.shape(vals)}, "
+                    f"expected ({len(s)},)"
                 )
-        # Every set's utilities end to end; a cell reads its set's start + slot.
-        starts = np.cumsum([0] + [len(ids) for ids in offered_sets])
-        effects.flat[cells] = np.concatenate(values)[starts[set_no] + slots]
-        plus.flat[cells] = above
-    # The subsets holding each ground id b, and the same subsets without b.
-    has: dict[int, list[int]] = {b: [] for b in ground}
-    without: dict[int, list[int]] = {b: [] for b in ground}
-    for c, src in enumerate(subsets):
-        for pos, b in enumerate(src):
-            has[b].append(c)
-            without[b].append(cols[src[:pos] + src[pos + 1 :]])
-    for b in ground:
-        effects[:, has[b]] -= effects[:, without[b]]
+        flat = np.concatenate(values)
+        # One check over every value; the set is looked up only on failure.
+        if not np.isfinite(flat).all():
+            bad = next(s for s, vals in zip(offered_sets, values) if not np.isfinite(vals).all())
+            raise ValueError(f"utilities of offered set {bad} are not finite")
+        utilities[[index[b] for s in offered_sets for b in s],
+                  np.repeat(offered, [len(s) for s in offered_sets])] = flat
+    effects = np.where(valid, utilities[rows[:, None], succ], np.nan)
+    for i in range(len(ids)):
+        lower = np.flatnonzero(~held[i] & (up[i] < width))
+        effects[:, up[i, lower]] -= effects[:, lower]
+    plus = np.where(succ < width, succ, -1)
     return cols, effects, plus
 
 
@@ -201,8 +197,8 @@ def reconstruct_utility(
         raise ValueError(f"item {item} is not offered in {ids}")
     others = tuple(i for i in ids if i != item)
     _check_cap(len(ids), cap, f"utility reconstruction over {ids}")
-    _, effects, _ = _effects(model, (item,), others, len(others))
-    return math.fsum(effects[0].tolist())
+    cols, effects, _ = _effects(model, (item,), others, len(others))
+    return math.fsum(effects[0, [c for s, c in cols.items() if item not in s]].tolist())
 
 
 def relative_halo(
@@ -392,6 +388,8 @@ def read_halo_csv(path) -> RelativeHaloTable:
         fault = _entry_fault(j, k, src, universe, max_order)
         if fault:
             raise DataFormatError(f"line {lineno}: {fault}")
+        if not math.isfinite(alpha):
+            raise DataFormatError(f"line {lineno}: alpha must be finite, got {row[3]!r}")
         key = (j, k, src)
         if key in first_line:
             raise DataFormatError(f"line {lineno}: entry {key} repeats line {first_line[key]}")

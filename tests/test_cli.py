@@ -580,6 +580,19 @@ class TestEval:
         manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_featured_model_without_items_is_usage_error(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("set,choice\n0;1,0\n0;1,1\n")
+        model = tmp_path / "feat.json"
+        FeaturedModel(1, 4, 1, 1, seed=0).save(model)
+        out = tmp_path / "metrics.json"
+        code = run("eval", "--model-file", str(model), "--data", str(obs), "-o", str(out))
+        assert code == 2
+        assert "--items" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
     def test_truth_with_featured_model_names_truth(self, tmp_path, capsys):
         items = tmp_path / "items.csv"
         items.write_text("item_id,f1\n0,0.5\n1,-0.25\n")
@@ -711,16 +724,25 @@ class TestHalo:
                    "--max-order", "2", "--pair", "1,2", "-o", str(out)) == 0
         assert read_halo_csv(out).pairs() == [(1, 2)]
 
-    @pytest.mark.parametrize("pair", ["1", "1,x", "1,2,3"])
+    @pytest.mark.parametrize("pair", ["1", "1,x", "1,2,3", "1,1", "-1,2"])
     def test_malformed_pair_is_usage_error(self, tmp_path, capsys, trained_model, pair):
         out = tmp_path / "alpha.csv"
         code = run("halo", "--model-file", str(trained_model), "--max-order", "2",
-                   "--pair", pair, "-o", str(out))
+                   f"--pair={pair}", "-o", str(out))
         assert code == 2
         assert "--pair" in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "alpha.csv.manifest.json").read_text())
         assert manifest["status"] == "error"
+
+    def test_pair_outside_the_model_universe_exits_1(self, tmp_path, capsys, trained_model):
+        out = tmp_path / "alpha.csv"
+        code = run("halo", "--model-file", str(trained_model), "--max-order", "2",
+                   "--pair", "2,9", "-o", str(out))
+        assert code == 1
+        assert ("error: --pair 2,9: item 9 is outside the model's universe of size 4"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_render_only_reproduces_svg(self, tmp_path, trained_model):
         alpha = tmp_path / "alpha.csv"
@@ -732,7 +754,7 @@ class TestHalo:
                    "--svg", str(svg_rendered)) == 0
         assert svg_direct.read_bytes() == svg_rendered.read_bytes()
 
-    @pytest.mark.parametrize("row", ["0,1", "0,x,,0.5"])
+    @pytest.mark.parametrize("row", ["0,1", "0,x,,0.5", "0,1,,inf"])
     def test_render_only_malformed_row_exits_1(self, tmp_path, capsys, row):
         alpha = tmp_path / "alpha.csv"
         alpha.write_text(f"# universe=2 max_order=0\npair_j,pair_k,source_set,alpha\n{row}\n")

@@ -267,6 +267,21 @@ def _catalog_model():
     )
 
 
+def _moebius_loop(model, j, ids):
+    """effect(j, S) for every S inside ``ids``: the fast Moebius transform as
+    a pure-Python loop, one step per id in ascending order."""
+    effect = {}
+    for size in range(len(ids) + 1):
+        for src in itertools.combinations(ids, size):
+            offered = tuple(sorted(src + (j,)))
+            effect[src] = float(model.set_utilities(offered)[offered.index(j)])
+    for b in sorted(ids):
+        for src in effect:
+            if b in src:
+                effect[src] -= effect[tuple(i for i in src if i != b)]
+    return effect
+
+
 class TestOneInversionPath:
     """Lone extractors and tables read the same transform: every entry is
     bit-identical, and all agree with the brute-force oracle."""
@@ -286,6 +301,19 @@ class TestOneInversionPath:
         for (j, k, src), value in relative.entries.items():
             assert relative_halo(m, j, k, src) == value
             assert relative_halo(m, k, j, src) == -value
+
+    @pytest.mark.parametrize(
+        "make", [lambda: PlantedModel(6, seed=29), _trained_model, _catalog_model],
+        ids=["planted", "trained", "catalog"],
+    )
+    def test_effects_equal_ascending_moebius_loop(self, make):
+        # The same subtractions in the same order give the same bits.
+        m = make()
+        n = m.universe
+        table = full_context_table(m, max_order=n - 1)
+        for j in range(n):
+            loop = _moebius_loop(m, j, tuple(i for i in range(n) if i != j))
+            assert {src: table.entries[(j, src)] for src in loop} == loop
 
     @pytest.mark.parametrize(
         "make", [lambda: PlantedModel(5, seed=21), _catalog_model], ids=["planted", "catalog"]
@@ -376,6 +404,30 @@ class TestForwardCount:
             base[3] + push[11, 3] - base[11] - push[3, 11], abs=1e-12
         )
         assert table.get(3, 11, (7,)) == pytest.approx(push[7, 3] - push[7, 11], abs=1e-12)
+
+    def test_empty_pair_list_runs_no_forward(self):
+        m = CountingModel(PlantedModel(4, seed=26))
+        table = full_relative_table(m, 2, pairs=[])
+        assert (table.universe, table.max_order, table.entries) == (4, 2, {})
+        assert m.calls == []
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 5])
+    def test_lone_extractors_forward_each_offered_set_once(self, size):
+        m = CountingModel(PlantedModel(8, seed=27))
+        src = tuple(range(2, 2 + size))
+
+        def forwards(extract, *args):
+            m.calls.clear()
+            extract(m, *args)
+            assert len(set(m.calls)) == len(m.calls)
+            return set(m.calls)
+
+        with_0 = {tuple(sorted(s + (0,))) for r in range(size + 1)
+                  for s in itertools.combinations(src, r)}
+        assert forwards(marginal_effect, 0, src) == with_0
+        assert forwards(reconstruct_utility, 0, (0,) + src) == with_0
+        # T + {0}, T + {1} and T + {0, 1} for every T inside the source.
+        assert len(forwards(relative_halo, 0, 1, src)) == 3 * 2**size
 
     def test_refusals_run_no_forward(self):
         m = CountingModel(PlantedModel(4, seed=25))
@@ -509,6 +561,25 @@ class TestBatchedForwards:
         with pytest.raises(ValueError, match=r"set \(0,\) have shape \(3,\), expected \(1,\)"):
             full_context_table(Wide(), 1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_utilities_rejected(self, bad):
+        class NonFinite:
+            """Finite utilities except on the offered set (0, 2)."""
+
+            universe = 3
+
+            def set_utilities(self, ids):
+                return np.array([bad, 0.0]) if tuple(ids) == (0, 2) else np.zeros(len(ids))
+
+        m = NonFinite()
+        message = r"utilities of offered set \(0, 2\) are not finite"
+        with pytest.raises(ValueError, match=message):
+            full_relative_table(m, 1)
+        with pytest.raises(ValueError, match=message):
+            marginal_effect(m, 0, (2,))
+        with pytest.raises(ValueError, match=message):
+            relative_halo(m, 0, 2, ())
+
 
 class TestTapeCount:
     """Halo forwards run as few tapes as the model allows."""
@@ -600,10 +671,12 @@ class TestExport:
         ("0,4,,0.3", "line 3: id 4 outside universe of size 4"),
         ("0,1,5,0.2", "line 3: id 5 outside universe of size 4"),
         ("0,1,2;3,0.2", "line 3: source set (2, 3) has more than max_order=1 ids"),
+        ("0,1,,nan", "line 3: alpha must be finite, got 'nan'"),
+        ("0,1,2,0.5\n0,2,,-inf", "line 4: alpha must be finite, got '-inf'"),
     ], ids=["repeat", "repeat-later", "pair-reversed", "pair-equal", "source-unsorted",
             "source-unsorted-holds-k", "source-repeats", "source-holds-k", "source-holds-j",
             "negative-pair-id", "negative-source-id", "pair-id-past-universe",
-            "source-id-past-universe", "source-past-max-order"])
+            "source-id-past-universe", "source-past-max-order", "alpha-nan", "alpha-inf"])
     def test_csv_entry_it_never_writes_reports_line(self, tmp_path, rows, message):
         path = tmp_path / "alpha.csv"
         path.write_text(f"# universe=4 max_order=1\npair_j,pair_k,source_set,alpha\n{rows}\n")
