@@ -9,7 +9,11 @@ them as columns: the distinct offered sets once, and integer arrays that
 index them.
 
 Every CSV format is read through one table reader, ``_read_table``, which
-splits each line at commas and checks the header and each row's field count.
+checks the header and each row's field count.  Real choice logs repeat a
+few lines many times, so it splits each distinct line text once and hands
+the loaders the distinct data rows plus an integer array that codes each
+data line as its row; a loader parses and checks the distinct rows and
+gathers its per-observation columns through the codes.
 """
 
 from __future__ import annotations
@@ -222,10 +226,12 @@ class Dataset:
 
 def _read_table(
     path, header: str, rows_required: bool = True, comments: list | None = None
-) -> tuple[list[str], list[tuple[int, tuple[str, ...]]]]:
-    """The header names and the (line number, fields) data rows of a comma CSV.
+) -> tuple[list[str], list[tuple[int, list[str]]], np.ndarray, np.ndarray]:
+    """The header names and the distinct data rows of a comma CSV, with the
+    code of each data line's row and each data line's number.
 
     A row is its line split at commas: a quote is an ordinary character.
+    The file is UTF-8, and a leading byte-order mark is read as nothing.
     Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` and count from 1.  Blank
     and '#' comment lines are skipped; each comment line is appended to
     ``comments`` as (line number, stripped line) when it is given.
@@ -234,33 +240,73 @@ def _read_table(
     one that ends in ``,...`` needs only its leading names.  Every data row
     must have the header's field count, and unless ``rows_required`` is
     false there must be one.  Each error names the file or the line.
+
+    Each distinct line text is classified, split and checked once.  The rows
+    are the distinct data texts as (number of the text's first data line,
+    fields), in first-seen order; ``codes[n]`` is the row of the n-th data
+    line, and ``numbers[n]`` its line number.  A line's faults depend on its
+    text alone, so checking the rows in order finds the file's earliest
+    faulty line.
     """
-    numbered = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                if comments is not None:
-                    comments.append((lineno, stripped))
-            elif stripped:
-                # A tuple holds the fields without the list's spare slots.
-                numbered.append((lineno, tuple(line.rstrip("\r\n").split(","))))
-    if not numbered:
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n")
+        raise DataFormatError(f"{path}: line {line}: not valid UTF-8") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    head = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")), None)
+    if head is None:
         raise DataFormatError(f"{path}: no header row, expected '{header}'")
-    (header_line, names), data_rows = numbered[0], numbered[1:]
-    names = [name.strip() for name in names]
+    names = [name.strip() for name in lines[head].split(",")]
     want = header.removesuffix(",...").split(",")
     if (names[: len(want)] if header.endswith(",...") else names) != want:
         raise DataFormatError(
-            f"line {header_line}: expected header '{header}', got '{','.join(names)}'"
+            f"line {head + 1}: expected header '{header}', got '{','.join(names)}'"
         )
+    lines[head] = ""  # read; a data line with the header's text is still a row
+    # Each distinct text maps to the index of its first line; `at` holds
+    # that index for every line.
+    first = dict(zip(reversed(lines), range(len(lines) - 1, -1, -1)))
+    at = np.fromiter(map(first.__getitem__, lines), np.intp, len(lines))
+    comment = np.zeros(len(lines), dtype=bool)
+    starts = []  # the first line of each data text
+    for line, i in first.items():
+        mark = line.strip()[:1]
+        if mark == "#":
+            comment[i] = True
+        elif mark:
+            starts.append(i)
+    if comments is not None:
+        comments.extend((i + 1, lines[i].strip()) for i in np.flatnonzero(comment[at]).tolist())
+    starts.sort()
+    code = np.full(len(lines), -1)
+    code[starts] = np.arange(len(starts))
+    codes = code[at]
+    data = np.flatnonzero(codes >= 0)
+    rows = [(i + 1, lines[i].split(",")) for i in starts]
     fields = len(names)
-    for lineno, row in data_rows:
+    for lineno, row in rows:
         if len(row) != fields:
             raise DataFormatError(f"line {lineno}: expected {fields} fields, got {len(row)}")
-    if rows_required and not data_rows:
+    if rows_required and not rows:
         raise DataFormatError(f"{path}: no data rows after the header")
-    return names, data_rows
+    return names, rows, codes[data], data + 1
+
+
+def _keyed_rows(rows, codes: np.ndarray, numbers: np.ndarray) -> list:
+    """The rows of a keyed table in the order its checks meet them.
+
+    These are the distinct rows up to the first data line that repeats an
+    earlier line byte for byte, and then that line, whose key repeats.
+    """
+    seen = np.maximum.accumulate(codes)
+    again = 1 + np.flatnonzero(codes[1:] <= seen[:-1])
+    if not again.size:
+        return rows
+    n = again[0]
+    return rows[: seen[n] + 1] + [(int(numbers[n]), rows[codes[n]][1])]
 
 
 def _parse_id_list(text: str, lineno: int) -> tuple[int, ...]:
@@ -277,10 +323,11 @@ def _parse_id_list(text: str, lineno: int) -> tuple[int, ...]:
 
 def _parse_choices(rows):
     """The distinct id tuples of ``set,choice,...`` rows, in first-seen order,
-    and each row's set index, chosen id and chosen slot; set texts parse once."""
+    and a (3, rows) array of each row's set index, chosen id and chosen slot;
+    set texts parse once."""
     by_text: dict[str, tuple[int, tuple[int, ...]]] = {}
     by_ids: dict[tuple[int, ...], int] = {}
-    set_index, chosen, slot = [], [], []
+    columns = []
     for lineno, row in rows:
         known = by_text.get(row[0])
         if known is None:
@@ -292,20 +339,19 @@ def _parse_choices(rows):
         except ValueError:
             raise DataFormatError(f"line {lineno}: cannot parse choice '{row[1]}'") from None
         try:
-            slot.append(ids.index(c))
+            columns.append((s, c, ids.index(c)))
         except ValueError:
             raise DataFormatError(f"line {lineno}: choice {c} not in set {ids}") from None
-        set_index.append(s)
-        chosen.append(c)
-    return list(by_ids), set_index, chosen, slot
+    return list(by_ids), np.array(columns, dtype=np.intp).T
 
 
 def load_featureless_csv(path) -> Dataset:
     """Read ``set,choice`` rows where ``set`` is a semicolon-joined id list."""
-    distinct, set_index, chosen, slot = _parse_choices(_read_table(path, "set,choice")[1])
+    _, rows, codes, _ = _read_table(path, "set,choice")
+    distinct, columns = _parse_choices(rows)
     width = max(map(len, distinct))
     sets = [ChoiceSet(ids, width) for ids in distinct]
-    return Dataset.from_columns(sets, set_index, chosen, slot, max(map(max, distinct)) + 1)
+    return Dataset.from_columns(sets, *columns.take(codes, axis=1), max(map(max, distinct)) + 1)
 
 
 def write_featureless_csv(dataset: Dataset, path) -> None:
@@ -323,11 +369,11 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
     Observations file: ``set,choice,s1..s{k}``; each shared value is
     replicated into every real item's column below its item's features.
     """
-    header, item_rows = _read_table(items_path, "item_id,...")
+    header, item_rows, item_codes, item_lines = _read_table(items_path, "item_id,...")
     d_item = len(header) - 1
     column: dict[int, int] = {}  # item id -> its column of the stacked item matrix
     vectors = []
-    for lineno, row in item_rows:
+    for lineno, row in _keyed_rows(item_rows, item_codes, item_lines):
         try:
             item = int(row[0])
             vec = [float(v) for v in row[1:]]
@@ -339,11 +385,11 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
             raise DataFormatError(f"line {lineno}: duplicate item id {item}")
         column[item] = len(vectors)
         vectors.append(vec)
-    header, obs_rows = _read_table(obs_path, "set,choice,...")
-    distinct, set_index, chosen, slot = _parse_choices(obs_rows)
+    header, obs_rows, codes, _ = _read_table(obs_path, "set,choice,...")
+    distinct, columns = _parse_choices(obs_rows)
     absent = [next((i for i in ids if i not in column), None) for ids in distinct]
     shared = []
-    for (lineno, row), s in zip(obs_rows, set_index):
+    for (lineno, row), s in zip(obs_rows, columns[0].tolist()):
         try:
             values = [float(v) for v in row[2:]]
         except ValueError:
@@ -360,13 +406,13 @@ def load_featured_csv(items_path, obs_path) -> Dataset:
     for s, ids in enumerate(distinct):
         cols[s, : len(ids)] = [column[i] for i in ids]
     catalog = np.array(vectors + [[0.0] * d_item]).T  # d_item x (items + 1)
-    slots = cols[set_index]  # observations x width
+    slots = cols[columns[0]]  # rows x width
     x = np.empty((len(obs_rows), d_item + len(header) - 2, width))
     x[:, :d_item] = np.moveaxis(catalog[:, slots], 0, 1)
     x[:, d_item:] = np.where((slots < len(vectors))[:, None, :], np.array(shared)[:, :, None], 0.0)
     sets = [ChoiceSet(ids, width) for ids in distinct]
     # Every offered id is in the items file, so the universe spans the items.
-    return Dataset.from_columns(sets, set_index, chosen, slot, max(column) + 1, x)
+    return Dataset.from_columns(sets, *columns.take(codes, axis=1), max(column) + 1, x[codes])
 
 
 def save_split_manifest(splits: dict[str, list[int]], path) -> None:
@@ -527,9 +573,10 @@ def write_probability_table(table, path) -> None:
 
 
 def load_probability_table(path) -> dict[tuple[int, ...], np.ndarray]:
+    _, rows, codes, numbers = _read_table(path, "set,probs")
     table = {}
     first_line: dict[tuple[int, ...], int] = {}  # sorted ids -> line
-    for lineno, row in _read_table(path, "set,probs")[1]:
+    for lineno, row in _keyed_rows(rows, codes, numbers):
         ids = _parse_id_list(row[0], lineno)
         key = tuple(sorted(ids))
         if key in first_line:

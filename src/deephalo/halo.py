@@ -36,7 +36,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import DataFormatError, _read_table
+from .data import DataFormatError, _keyed_rows, _read_table
 
 MARGINAL_CAP = 12
 UNIVERSE_GUARD = 10
@@ -360,8 +360,8 @@ def _entry_fault(j: int, k: int, src: tuple[int, ...], universe, max_order) -> s
 def read_halo_csv(path) -> RelativeHaloTable:
     """The table in a halo CSV; each entry must be one that :func:`write_halo_csv` writes."""
     comments: list[tuple[int, str]] = []
-    rows = _read_table(path, "pair_j,pair_k,source_set,alpha", rows_required=False,
-                       comments=comments)[1]
+    _, rows, codes, numbers = _read_table(path, "pair_j,pair_k,source_set,alpha",
+                                          rows_required=False, comments=comments)
     header: dict[str, int] = {}
     for lineno, comment in comments:
         for token in comment.lstrip("#").split():
@@ -376,7 +376,7 @@ def read_halo_csv(path) -> RelativeHaloTable:
     universe, max_order = header.get("universe"), header.get("max_order")
     entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
     first_line: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for lineno, row in rows:
+    for lineno, row in _keyed_rows(rows, codes, numbers):
         try:
             j, k = int(row[0]), int(row[1])
             src = tuple(int(i) for i in row[2].split(";")) if row[2] else ()

@@ -208,6 +208,15 @@ class TestTrain:
         assert "error: line 3: expected 2 fields, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_data_that_is_not_utf8_exits_1_naming_its_line(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"set,choice\r\n0;1,0\r\n0;1,\xff\r\n")
+        out = tmp_path / "m.json"
+        assert run("train", "--model", "mnl", "--data", str(data), "--epochs", "1",
+                   "-o", str(out)) == 1
+        assert f"error: {data}: line 3: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_clip_norm_is_usage_error(self, tmp_path, capsys, beverage_csv):
         out = tmp_path / "m.json"
         code = run("train", "--model", "mnl", "--data", str(beverage_csv),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deephalo import data as dat
+from deephalo.halo import read_halo_csv
 
 
 class TestFeaturelessCsv:
@@ -383,6 +384,333 @@ class TestLineEndings:
         assert str(err.value) == "line 4: choice 5 not in set (0, 1)"
 
 
+# Each file kind: a valid text with a comment and a blank line, the same
+# text with a fault on line 5, and a load whose results compare with ==.
+ENCODING_KINDS = {
+    "featureless": ("# c\nset,choice\n0;1,0\n\n2;0;1,2\n",
+                    "# c\nset,choice\n0;1,0\n\n2;0;1,5\n",
+                    lambda path, _: dat.load_featureless_csv(path)),
+    "items": ("# c\nitem_id,f1\n0,1.5\n\n1,-2.0\n", "# c\nitem_id,f1\n0,1.5\n\n1,x\n",
+              _featured_items),
+    "observations": ("# c\nset,choice,s1\n0;1,0,5\n\n0;1,1,6\n",
+                     "# c\nset,choice,s1\n0;1,0,5\n\n0;1,1,nan\n", _featured_observations),
+    "truth": ("# c\nset,probs\n0;1,0.5;0.5\n\n0;1;2,0.25;0.25;0.5\n",
+              "# c\nset,probs\n0;1,0.5;0.5\n\n0;1;2,0.25;0.25\n",
+              lambda path, _: [(ids, probs.tolist())
+                               for ids, probs in dat.load_probability_table(path).items()]),
+    "halo": ("# universe=3\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n\n0,1,2,0.25\n",
+             "# universe=3\npair_j,pair_k,source_set,alpha\n0,1,,0.5\n\n0,1,2,nan\n",
+             lambda path, _: read_halo_csv(path)),
+}
+
+
+class TestEncoding:
+    """Tables are UTF-8; a leading byte-order mark reads as nothing."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, kind, ending):
+        valid, _, load = ENCODING_KINDS[kind]
+        path = tmp_path / "table.csv"
+        lines = valid.split("\n")
+        lines[2] = lines[2][:-1] + "\udcff"  # the last character of line 3 becomes byte 0xff
+        path.write_bytes(ending.join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(dat.DataFormatError) as err:
+            load(path, tmp_path)
+        assert str(err.value) == f"{path}: line 3: not valid UTF-8"
+
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    def test_bom_copy_loads_equal_and_names_the_same_line(self, tmp_path, kind):
+        valid, faulty, load = ENCODING_KINDS[kind]
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        for text in (valid, valid.removeprefix("# c\n")):
+            plain.write_text(text)
+            bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert load(bom, tmp_path) == load(plain, tmp_path)
+        messages = []
+        for path, prefix in ((plain, b""), (bom, b"\xef\xbb\xbf")):
+            path.write_bytes(prefix + faulty.encode())
+            with pytest.raises(dat.DataFormatError) as err:
+                load(path, tmp_path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0].startswith("line 5: ")
+
+
+# ---------------------------------------------------------------------------
+# The per-line loaders that the distinct-line reader replaced, kept as the
+# reference it must match: a Dataset == theirs, and the same message for
+# the same fault.
+# ---------------------------------------------------------------------------
+
+
+def _reference_table(path, header, rows_required=True):
+    numbered = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                numbered.append((lineno, tuple(line.rstrip("\r\n").split(","))))
+    if not numbered:
+        raise dat.DataFormatError(f"{path}: no header row, expected '{header}'")
+    (header_line, names), data_rows = numbered[0], numbered[1:]
+    names = [name.strip() for name in names]
+    want = header.removesuffix(",...").split(",")
+    if (names[: len(want)] if header.endswith(",...") else names) != want:
+        raise dat.DataFormatError(
+            f"line {header_line}: expected header '{header}', got '{','.join(names)}'"
+        )
+    for lineno, row in data_rows:
+        if len(row) != len(names):
+            raise dat.DataFormatError(f"line {lineno}: expected {len(names)} fields, got {len(row)}")
+    if rows_required and not data_rows:
+        raise dat.DataFormatError(f"{path}: no data rows after the header")
+    return names, data_rows
+
+
+def _reference_choices(rows):
+    by_ids: dict[tuple[int, ...], int] = {}
+    set_index, chosen, slot = [], [], []
+    for lineno, row in rows:
+        ids = dat._parse_id_list(row[0], lineno)
+        s = by_ids.setdefault(ids, len(by_ids))
+        try:
+            c = int(row[1])
+        except ValueError:
+            raise dat.DataFormatError(f"line {lineno}: cannot parse choice '{row[1]}'") from None
+        try:
+            slot.append(ids.index(c))
+        except ValueError:
+            raise dat.DataFormatError(f"line {lineno}: choice {c} not in set {ids}") from None
+        set_index.append(s)
+        chosen.append(c)
+    return list(by_ids), set_index, chosen, slot
+
+
+def reference_featureless(path):
+    distinct, set_index, chosen, slot = _reference_choices(_reference_table(path, "set,choice")[1])
+    width = max(map(len, distinct))
+    sets = [dat.ChoiceSet(ids, width) for ids in distinct]
+    return dat.Dataset.from_columns(sets, set_index, chosen, slot, max(map(max, distinct)) + 1)
+
+
+def reference_featured(items_path, obs_path):
+    header, item_rows = _reference_table(items_path, "item_id,...")
+    d_item = len(header) - 1
+    vectors: dict[int, list[float]] = {}
+    for lineno, row in item_rows:
+        try:
+            item = int(row[0])
+            vec = [float(v) for v in row[1:]]
+        except ValueError:
+            raise dat.DataFormatError(f"line {lineno}: cannot parse item row") from None
+        if not all(map(math.isfinite, vec)):
+            raise dat.DataFormatError(f"line {lineno}: item {item} has a non-finite feature")
+        if item in vectors:
+            raise dat.DataFormatError(f"line {lineno}: duplicate item id {item}")
+        vectors[item] = vec
+    header, obs_rows = _reference_table(obs_path, "set,choice,...")
+    distinct, set_index, chosen, slot = _reference_choices(obs_rows)
+    width = max(map(len, distinct))
+    x = np.zeros((len(obs_rows), d_item + len(header) - 2, width))
+    for block, (lineno, row), s in zip(x, obs_rows, set_index):
+        try:
+            values = [float(v) for v in row[2:]]
+        except ValueError:
+            raise dat.DataFormatError(f"line {lineno}: cannot parse shared features") from None
+        if not all(map(math.isfinite, values)):
+            raise dat.DataFormatError(f"line {lineno}: non-finite shared feature")
+        for j, item in enumerate(distinct[s]):
+            if item not in vectors:
+                raise dat.DataFormatError(f"line {lineno}: item id {item} absent from items file")
+            block[:, j] = vectors[item] + values
+    sets = [dat.ChoiceSet(ids, width) for ids in distinct]
+    return dat.Dataset.from_columns(sets, set_index, chosen, slot, max(vectors) + 1, x)
+
+
+def reference_probability_table(path):
+    table = {}
+    first_line: dict[tuple[int, ...], int] = {}
+    for lineno, row in _reference_table(path, "set,probs")[1]:
+        ids = dat._parse_id_list(row[0], lineno)
+        key = tuple(sorted(ids))
+        if key in first_line:
+            raise dat.DataFormatError(f"line {lineno}: set {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        try:
+            probs = np.array([float(v) for v in row[1].split(";")])
+        except ValueError:
+            raise dat.DataFormatError(f"line {lineno}: cannot parse probabilities") from None
+        dat._check_probabilities(ids, probs, f"line {lineno}: ")
+        table[ids] = probs
+    return table
+
+
+def _outcome(load, *paths):
+    """What ``load`` gives: its result, or the message of the DataFormatError it raises."""
+    try:
+        return load(*paths)
+    except dat.DataFormatError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(load, reference, *paths, valid):
+    """``load`` gives what ``reference`` gives on ``paths``: an equal result or
+    the same message; ``valid`` says which the reference gives."""
+    ref = _outcome(reference, *paths)
+    assert isinstance(ref, str) != valid
+    got = _outcome(load, *paths)
+    if isinstance(ref, str):
+        assert got == ref
+    elif isinstance(ref, dat.Dataset):
+        assert got == ref
+        assert got.sets == ref.sets and got.universe == ref.universe
+        for name in ("set_index", "chosen", "slot"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert (got.features is None) == (ref.features is None)
+        assert got.features is None or got.features.tobytes() == ref.features.tobytes()
+    else:
+        assert [(k, v.tolist()) for k, v in got.items()] == [(k, v.tolist()) for k, v in ref.items()]
+
+
+def _random_lines(rng, header, texts, n_rows):
+    """A table of ``n_rows`` lines drawn from ``texts``, with blank, blank-looking
+    and '#' lines among them and comments before the header."""
+    lines = ["# generated", "", header]
+    for r in rng.random(n_rows):
+        lines.append("" if r < 0.02 else "  \t" if r < 0.03 else "# note" if r < 0.05
+                     else texts[rng.integers(len(texts))])
+    return lines
+
+
+def _write_lines(path, lines, rng):
+    """Write ``lines`` with each ending drawn from LF, CRLF and a lone CR."""
+    endings = rng.choice(["\n", "\r\n", "\r"], size=len(lines), p=[0.6, 0.2, 0.2])
+    path.write_bytes("".join(map(str.__add__, lines, endings)).encode())
+
+
+def _insert(lines, at, *texts):
+    """``lines`` with each text inserted before position ``at`` of the body (past the header)."""
+    out = list(lines)
+    for text in texts:
+        out.insert(3 + at, text)
+    return out
+
+
+_FEATURELESS_TEXTS = [
+    f"{';'.join(map(str, ids))},{c}"
+    for ids in [(0, 1), (2, 0, 1), (3,), (1, 4, 2, 0), (5, 3)] for c in ids
+] + [" 0;1,0", "0; 1,1", "0;1 , 1", "2;0;1, 2", "0;1,0 "]
+
+# Single-fault mutations of a valid featureless table of 3,000 rows.
+FEATURELESS_MUTATIONS = {
+    "valid": lambda lines: lines,
+    "late-fault": lambda lines: _insert(_insert(lines, 2900, "0;1,7"), 2600, "0;1,7"),
+    "late-fault-seen-set": lambda lines: _insert(lines, 2500, "2;0;1,x"),
+    "parse-before-count": lambda lines: _insert(_insert(lines, 900, "0;1"), 10, "0;x,0"),
+    "header-text-row": lambda lines: _insert(lines, 100, "set,choice"),
+    "duplicate-ids": lambda lines: _insert(lines, 1200, "1;1,1", "1;1,1"),
+    "long-row": lambda lines: _insert(lines, 1700, "0;1,0,9"),
+}
+
+
+class TestDistinctLineOracle:
+    """The loaders equal the per-line reference loaders on seeded random tables."""
+
+    @pytest.mark.parametrize("mutation", FEATURELESS_MUTATIONS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_featureless(self, tmp_path, seed, mutation):
+        rng = np.random.default_rng(seed)
+        lines = _random_lines(rng, "set,choice", _FEATURELESS_TEXTS, 3000)
+        path = tmp_path / "d.csv"
+        _write_lines(path, FEATURELESS_MUTATIONS[mutation](lines), rng)
+        _assert_matches_reference(dat.load_featureless_csv, reference_featureless, path,
+                                  valid=mutation == "valid")
+
+    @pytest.mark.parametrize("mutation", [
+        "valid", "identical-item-repeat", "item-id-repeat", "item-nan", "item-short",
+        "absent-item", "shared-nan", "shared-text", "late-choice", "header-text-row",
+        "parse-before-count",
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_featured(self, tmp_path, seed, mutation):
+        rng = np.random.default_rng(seed)
+        item_ids = [9, 2, 5, 14, 0]
+        item_lines = ["# items", "", "item_id,f1,f2"] + [
+            f"{i},{float(a)!r},{float(b)!r}" for i, (a, b) in zip(item_ids, rng.normal(size=(5, 2)))
+        ]
+        texts = [f"{';'.join(map(str, ids))},{c},{s}" for ids in [(9, 2), (5, 14, 0), (2,), (0, 9, 5)]
+                 for c in ids for s in ("0.5", "-1.25")] + ["9; 2,2,0.5", "2;9,9, -1.25"]
+        obs_lines = _random_lines(rng, "set,choice,s1", texts, 2000)
+        edit = {
+            "identical-item-repeat": [("items", 4, item_lines[4])],
+            "item-id-repeat": [("items", 5, "5,0.0,0.0")],
+            "item-nan": [("items", 3, "1,nan,0.5")],
+            "item-short": [("items", 5, "1,0.5")],
+            "absent-item": [("obs", 1500, "9;3,9,0.5")],
+            "shared-nan": [("obs", 1800, "9;2,9,nan")],
+            "shared-text": [("obs", 700, "9;2,9,x")],
+            "late-choice": [("obs", 1900, "9;2,5,0.5")],
+            "header-text-row": [("obs", 50, "set,choice,s1")],
+            "parse-before-count": [("obs", 600, "9;2,9"), ("obs", 40, "9;2,x,0.5")],
+        }.get(mutation, [])
+        for which, at, text in edit:
+            if which == "items":
+                item_lines.insert(at, text)
+            else:
+                obs_lines = _insert(obs_lines, at, text)
+        items, obs = tmp_path / "items.csv", tmp_path / "obs.csv"
+        _write_lines(items, item_lines, rng)
+        _write_lines(obs, obs_lines, rng)
+        _assert_matches_reference(dat.load_featured_csv, reference_featured, items, obs,
+                                  valid=mutation == "valid")
+
+    @pytest.mark.parametrize("mutation", [
+        "valid", "identical-repeat", "reordered-repeat", "repeat-before-parse-fault",
+        "parse-fault-before-repeat", "sum", "short-row", "header-text-row",
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_probability_table(self, tmp_path, seed, mutation):
+        rng = np.random.default_rng(seed)
+        _, table = dat.gen_synthetic_simplex(6, 3, 12, 1, seed=seed)
+        texts = [f"{';'.join(map(str, ids))},{';'.join(map(repr, probs.tolist()))}"
+                 for ids, probs in table.items()]
+        lines = ["# truth", "", "set,probs", *texts[:2], "", "# mid", *texts[2:]]
+        late = len(lines) - 2
+        edit = {
+            "identical-repeat": [(late, texts[1])],
+            "reordered-repeat": [(late, ";".join(reversed(texts[0].split(",")[0].split(";")))
+                                  + ",0.2;0.3;0.5")],
+            "repeat-before-parse-fault": [(late, "0;1;2;3,x"), (6, texts[0])],
+            "parse-fault-before-repeat": [(late, texts[0]), (5, "0;1;2;3,x")],
+            "sum": [(late, "0;1;2;5,0.5;0.5;0.5;0.5")],
+            "short-row": [(late, "0;1;5")],
+            "header-text-row": [(6, "set,probs")],
+        }.get(mutation, [])
+        for at, text in edit:
+            lines.insert(at, text)
+        path = tmp_path / "t.csv"
+        _write_lines(path, lines, rng)
+        _assert_matches_reference(dat.load_probability_table, reference_probability_table, path,
+                                  valid=mutation == "valid")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("kind", ["featureless", "truth"])
+    def test_line_ending_fixtures(self, tmp_path, kind, ending):
+        load, reference = {
+            "featureless": (dat.load_featureless_csv, reference_featureless),
+            "truth": (dat.load_probability_table, reference_probability_table),
+        }[kind]
+        path = tmp_path / "t.csv"
+        for text, valid in zip(LINE_ENDING_KINDS[kind], (True, False)):
+            path.write_bytes(text.replace("\n", ending).encode())
+            _assert_matches_reference(load, reference, path, valid=valid)
+
+    def test_beverage_file(self, tmp_path):
+        path = tmp_path / "bev.csv"
+        dat.write_featureless_csv(dat.sample_choices(dat.beverage_fixture(), 2000, seed=7), path)
+        _assert_matches_reference(dat.load_featureless_csv, reference_featureless, path, valid=True)
+
+
 class TestBeverageFixture:
     def test_pair_pepsi_coke(self):
         table = dat.beverage_fixture()
@@ -560,7 +888,7 @@ class TestProbabilityTableIo:
         for k in table:
             np.testing.assert_array_equal(loaded[k], table[k])
 
-    @pytest.mark.parametrize("second", ["0;1,0.9;0.1", "1;0,0.1;0.9"])
+    @pytest.mark.parametrize("second", ["0;1,0.9;0.1", "1;0,0.1;0.9", "0;1,0.5;0.5"])
     def test_repeated_set_names_both_lines(self, tmp_path, second):
         path = tmp_path / "t.csv"
         path.write_text(f"set,probs\n0;1,0.5;0.5\n0;2,0.5;0.5\n{second}\n")
