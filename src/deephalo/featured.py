@@ -17,12 +17,21 @@ read probability exactly zero.
 
 A batch of observations runs as one column block over their real slots:
 the real feature columns of all observations are concatenated into one
-(d_x x C) matrix, and every stage works on the (d x C) state.  The
-embedding, the modulators, layer norm and the readout work column by
-column; the context pooling is the only step that crosses columns, and it
-stays within each observation (``autodiff`` segment ops).  Dummy slots are
-never computed, so an observation's utilities are the same bits alone, in
-any batch and at any padded width.
+(d_x x C) matrix, and every stage works on the (d x C) state.  Dummy slots
+are never computed, so an observation's utilities are the same bits alone,
+in any batch and at any padded width.
+
+The forward has two stages.  The *column stage* is the embedding z0 and
+every layer's head modulators: the modulators read the base embedding,
+not the running state, and each op of this stage (``weight_matmul``,
+``add_bias``, ``relu``, ``layer_norm``) computes a column from that column
+alone.  So an item's column-stage values are the same bits in every
+offered set, and ``CatalogSetModel`` computes them once per catalog item
+and gathers them into each set.  The *set stage* is each layer's context
+pooling and modulation, then the readout: the pooling is the only step
+that crosses columns, and it stays within each observation (``autodiff``
+segment ops).  ``utilities_node`` runs both stages on one tape, so training
+and prediction see one graph.
 
 Every weight-times-state product (embedding, modulators, aggregation,
 readout) is ``autodiff.weight_matmul``.  It contracts over hidden units,
@@ -54,8 +63,9 @@ from .featureless import (
     column_probabilities,
 )
 
-# Configurations per forward-only tape in ``predict`` and catalog halo forwards:
-# bounds the tape held at once, so peak memory does not grow with their number.
+# Configurations per forward-only tape in ``predict``, and offered sets per
+# set-stage tape in catalog halo forwards: bounds the tape held at once, so
+# peak memory does not grow with their number.
 PREDICT_BLOCK = 16
 
 SIGMAS = ("identity", "quadratic")
@@ -191,7 +201,23 @@ class FeaturedModel(ParameterStore):
             out = ad.layer_norm(out, nodes[f"layer{l}.ln_gain"], nodes[f"layer{l}.ln_bias"])
         return out
 
-    def layer_node(self, nodes, l: int, z_prev: Node, base: Node, seg: ad.Segments) -> Node:
+    def column_stage(self, nodes, x: Node) -> tuple[Node, list[list[Node]]]:
+        """The base embedding of the columns of ``x`` and each layer's head modulators.
+
+        Every op here reads only its own column, so a column is the same
+        bits at any number of columns beside it.  ``resnet`` layers have no
+        modulators.
+        """
+        base = self.embed_node(nodes, x)
+        heads = range(self.heads if self.variant == "heads" else 0)
+        return base, [
+            [self._modulator_node(nodes, l, head, base) for head in heads]
+            for l in range(self.depth)
+        ]
+
+    def layer_node(
+        self, nodes, l: int, z_prev: Node, modulators: list[Node], seg: ad.Segments
+    ) -> Node:
         inner = z_prev if self.sigma == "identity" else ad.elementwise_square(z_prev)
         pooled = ad.weight_matmul(nodes[f"layer{l}.agg"], inner)
         if self.aggregation == "mean":
@@ -201,36 +227,51 @@ class FeaturedModel(ParameterStore):
         if self.variant == "resnet":
             return ad.segment_bias(z_prev, context, seg)
         shift = None
-        for head in range(self.heads):
-            modulated = ad.segment_scale(
-                self._modulator_node(nodes, l, head, base), context, seg, head
-            )
+        for head, modulator in enumerate(modulators):
+            modulated = ad.segment_scale(modulator, context, seg, head)
             shift = modulated if shift is None else ad.add(shift, modulated)
         return ad.add(z_prev, ad.scale(shift, 1.0 / self.heads))
+
+    def set_stage(
+        self, nodes, base: Node, modulators, seg: ad.Segments, states: list | None = None
+    ) -> tuple[Node, np.ndarray]:
+        """Every layer's pooling and modulation, then the readout, over the layout ``seg``.
+
+        ``base`` and ``modulators`` are :meth:`column_stage` columns, one per
+        column of ``seg``.  Returns the (slots x observations) utility
+        matrix, zero at dummy slots, and its real-slot mask; when ``states``
+        is a list, z0, ..., zL (d x C) are appended to it.
+        """
+        z = base
+        if states is not None:
+            states.append(z)
+        for l in range(self.depth):
+            z = self.layer_node(nodes, l, z, modulators[l], seg)
+            if states is not None:
+                states.append(z)
+        return ad.scatter_slots(ad.weight_matmul(nodes["readout"], z), seg), seg.mask
 
     def utilities_node(self, nodes, blocks, states: list | None = None) -> tuple[Node, np.ndarray]:
         """Tape forward of a batch of observations as one column block.
 
         ``blocks`` holds one (features, mask) pair per observation.  The
-        real slots of all of them are the columns of one tape; dummy slots
-        are never computed.  Returns the (slots x observations) utility
-        matrix, zero at dummy slots, and its real-slot mask.  When
-        ``states`` is a list, the representations z0, ..., zL of the real
-        slots (d x C) are appended to it.
+        real slots of all of them are the columns of one tape, through the
+        column stage and then the set stage; dummy slots are never
+        computed.  Returns :meth:`set_stage`'s utilities and mask, and
+        appends to ``states`` as it does.
         """
         checked = [self._check_inputs(features, mask) for features, mask in blocks]
         seg = ad.Segments([mask for _, mask in checked])
         x = ad.constant(np.concatenate([f[:, mask] for f, mask in checked], axis=1))
-        z = base = self.embed_node(nodes, x)
-        if states is not None:
-            states.append(z)
-        for l in range(self.depth):
-            z = self.layer_node(nodes, l, z, base, seg)
-            if states is not None:
-                states.append(z)
-        return ad.scatter_slots(ad.weight_matmul(nodes["readout"], z), seg), seg.mask
+        return self.set_stage(nodes, *self.column_stage(nodes, x), seg, states)
 
     # -- public surface ------------------------------------------------------------
+
+    def _padded(self, z: Node, mask: np.ndarray) -> np.ndarray:
+        """A (d x C) state of the real slots as (d x slots); dummy columns read 0."""
+        padded = np.zeros((self.embed_dim, mask.size))
+        padded[:, mask] = z.value
+        return padded
 
     def layer_states(self, features, mask) -> list[np.ndarray]:
         """Representations [z0, z1, ..., zL] for inspection; dummy columns read 0."""
@@ -238,15 +279,15 @@ class FeaturedModel(ParameterStore):
         _, slots = self.utilities_node(
             self.make_param_nodes(trainable=False), [(features, mask)], states
         )
-        out = []
-        for z in states:
-            padded = np.zeros((self.embed_dim, slots.shape[0]))
-            padded[:, slots[:, 0]] = z.value
-            out.append(padded)
-        return out
+        return [self._padded(z, slots[:, 0]) for z in states]
 
     def embed(self, features, mask) -> np.ndarray:
-        return self.layer_states(features, mask)[0]
+        """The base embedding z0 alone, ``layer_states(...)[0]``; dummy columns read 0."""
+        features, mask = self._check_inputs(features, mask)
+        if not mask.any():
+            raise ad.DegenerateSetError("an observation has no real slot")
+        nodes = self.make_param_nodes(trainable=False)
+        return self._padded(self.embed_node(nodes, ad.constant(features[:, mask])), mask)
 
     def forward(self, features, mask) -> UtilityVector:
         u, slots = self.utilities_node(
@@ -257,19 +298,18 @@ class FeaturedModel(ParameterStore):
     def probabilities(self, features, mask) -> np.ndarray:
         return choice_probabilities(self.forward(features, mask))
 
-    def _blocked_utilities(self, configs, rows: int, block=lambda pair: pair):
+    def _blocked_utilities(self, configs, rows: int, run):
         """(rows x configurations) utilities and real-slot mask, ``PREDICT_BLOCK`` per tape.
 
-        ``block(config)`` gives a configuration's (features, mask) pair, built
-        just before its tape runs; each tape is dropped once its utilities are
-        copied out.  A column equals the pair's own forward bit for bit.
+        ``run(chunk)`` builds and runs the forward-only tape of up to
+        ``PREDICT_BLOCK`` configurations, just before its utilities are
+        needed, and returns its utilities node and real-slot mask; each tape
+        is dropped once its utilities are copied out.
         """
-        nodes = self.make_param_nodes(trainable=False)
         values = np.zeros((rows, len(configs)))
         real = np.zeros(values.shape, dtype=bool)
         for lo in range(0, len(configs), PREDICT_BLOCK):
-            chunk = [block(config) for config in configs[lo : lo + PREDICT_BLOCK]]
-            u, slots = self.utilities_node(nodes, chunk)
+            u, slots = run(configs[lo : lo + PREDICT_BLOCK])
             values[: slots.shape[0], lo : lo + slots.shape[1]] = u.value
             real[: slots.shape[0], lo : lo + slots.shape[1]] = slots
         return values, real
@@ -291,9 +331,14 @@ class FeaturedModel(ParameterStore):
     def predict(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """(slots x configurations) probabilities and the real-slot mask.
 
-        ``blocks`` holds one (features, mask) pair per configuration.
+        ``blocks`` holds one (features, mask) pair per configuration; a
+        column equals the pair's own forward bit for bit.
         """
-        values, mask = self._blocked_utilities(blocks, max(np.size(m) for _, m in blocks))
+        nodes = self.make_param_nodes(trainable=False)
+        rows = max(np.size(m) for _, m in blocks)
+        values, mask = self._blocked_utilities(
+            blocks, rows, lambda chunk: self.utilities_node(nodes, chunk)
+        )
         return column_probabilities(values, mask), mask
 
 
@@ -301,7 +346,7 @@ class CatalogSetModel:
     """Set-utility view of a featured model over a fixed item catalog.
 
     Items are identified by their column in ``item_features``; evaluating
-    a subset builds the feature matrix of exactly those items.
+    a subset runs the featured model on exactly those items' columns.
     This is the bridge that lets halo extraction run on feature-based
     models (one-hot catalogs recover the featureless reading).
     """
@@ -312,13 +357,16 @@ class CatalogSetModel:
             raise ValueError(
                 f"catalog must be {model.feature_dim} x items, got {item_features.shape}"
             )
+        bad = np.argwhere(~np.isfinite(item_features.T))
+        if bad.size:
+            item, row = bad[0]
+            raise ValueError(
+                f"catalog item {item} has a non-finite value in feature row {row}: "
+                f"{float(item_features[row, item])!r}"
+            )
         self.model = model
         self.item_features = item_features
         self.universe = item_features.shape[1]
-
-    def _block(self, ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Features and all-real mask of the checked offered set ``ids``."""
-        return self.item_features[:, list(ids)], np.ones(len(ids), dtype=bool)
 
     def set_utilities(self, ids) -> np.ndarray:
         """Utilities aligned with ``ids`` order (halo-extraction hook).
@@ -326,11 +374,32 @@ class CatalogSetModel:
         One set is one :meth:`FeaturedModel.forward`, so a traced run counts
         each per-set halo forward as a featured forward.
         """
-        return self.model.forward(*self._block(check_ids(ids, self.universe))).values
+        ids = check_ids(ids, self.universe)
+        features = self.item_features[:, list(ids)]
+        return self.model.forward(features, np.ones(len(ids), dtype=bool)).values
 
     def batch_set_utilities(self, sets) -> list[np.ndarray]:
-        """:meth:`set_utilities` of each set, ``PREDICT_BLOCK`` sets per tape."""
+        """:meth:`set_utilities` of each set, bit for bit.
+
+        The column stage runs once per call, over the items the sets offer:
+        an item's embedding and modulators are the same columns in every set
+        that offers it.  Each block of ``PREDICT_BLOCK`` sets gathers its
+        items' columns into forward-only nodes and runs only the set stage.
+        """
         sets = [check_ids(ids, self.universe) for ids in sets]
-        rows = max(map(len, sets), default=0)
-        values, _ = self.model._blocked_utilities(sets, rows, self._block)
+        if not sets:
+            return []
+        items = sorted({i for ids in sets for i in ids})
+        column = dict(zip(items, range(len(items))))
+        model = self.model
+        nodes = model.make_param_nodes(trainable=False)
+        base, modulators = model.column_stage(nodes, ad.constant(self.item_features[:, items]))
+
+        def run(chunk):
+            seg = ad.Segments([np.ones(len(ids), dtype=bool) for ids in chunk])
+            cols = [column[i] for ids in chunk for i in ids]
+            gathered = [[ad.Node(m.value[:, cols]) for m in heads] for heads in modulators]
+            return model.set_stage(nodes, ad.Node(base.value[:, cols]), gathered, seg)
+
+        values, _ = model._blocked_utilities(sets, max(map(len, sets)), run)
         return [values[: len(ids), g] for g, ids in enumerate(sets)]

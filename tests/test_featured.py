@@ -85,6 +85,20 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="feature matrix"):
             m.embed(np.zeros((2, 3)), [True, True, True])
 
+    @pytest.mark.parametrize("options", [{}, {"layer_norm": False}, {"variant": "resnet"}])
+    def test_embedding_is_first_layer_state(self, options):
+        rng = np.random.default_rng(4)
+        m = FeaturedModel(3, 5, 2, 2, seed=6, **options)
+        x = np.zeros((3, 6))
+        mask = np.array([False, True, True, False, True, False])
+        x[:, mask] = rng.normal(size=(3, 3))
+        z = m.embed(x, mask)
+        assert z.tobytes() == m.layer_states(x, mask)[0].tobytes()
+        assert not z[:, ~mask].any() and z[:, mask].all()
+        for inspect in (m.embed, m.layer_states):
+            with pytest.raises(ad.DegenerateSetError, match="no real slot"):
+                inspect(np.zeros((3, 2)), [False, False])
+
 
 class TestLayerStep:
     def test_zero_aggregation_is_identity_layer(self):
@@ -313,6 +327,14 @@ class TestCatalogIds:
         x[:, :2] = catalog.item_features[:, [3, 0]]
         expected = catalog.model.forward(x, np.arange(4) < 2).values[:2]
         assert np.array_equal(u, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_item_feature_rejected_naming_item_and_row(self, bad):
+        features = np.random.default_rng(9).normal(size=(3, 4))
+        features[2, 1] = bad
+        features[0, 3] = bad  # a later item: the first bad item is named
+        with pytest.raises(ValueError, match=rf"catalog item 1 .* feature row 2: {bad!r}"):
+            CatalogSetModel(FeaturedModel(3, 4, 2, 1, seed=8), features)
 
 
 # -- batched forwards ------------------------------------------------------------

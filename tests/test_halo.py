@@ -472,8 +472,10 @@ def _featureless(activation, output_mode, rank):
     return m
 
 
-def _catalog(variant, aggregation):
-    featured = FeaturedModel(3, 4, 2, 2, variant=variant, aggregation=aggregation, seed=12)
+def _catalog(variant, aggregation, **options):
+    featured = FeaturedModel(
+        3, 4, 2, 2, variant=variant, aggregation=aggregation, seed=12, **options
+    )
     return CatalogSetModel(featured, np.random.default_rng(13).normal(size=(3, 6)))
 
 
@@ -500,10 +502,21 @@ class TestBatchedForwards:
     def test_featureless_equals_per_set(self, activation, output_mode, rank):
         _assert_batched_equals_per_set(_featureless(activation, output_mode, rank))
 
-    @pytest.mark.parametrize("variant", ["heads", "resnet"])
-    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
-    def test_catalog_equals_per_set(self, variant, aggregation):
-        m = _catalog(variant, aggregation)
+    @pytest.mark.parametrize("variant, aggregation, options", [
+        pytest.param(variant, aggregation, {}, id=f"{aggregation}-{variant}")
+        for aggregation in ("mean", "sum") for variant in ("heads", "resnet")
+    ] + [
+        # Branches on each side of the column/set stage split.
+        pytest.param(variant, "mean", options, id=f"mean-{variant}-{name}")
+        for variant in ("heads", "resnet")
+        for name, options in [
+            ("quadratic", {"sigma": "quadratic"}),
+            ("no_layer_norm", {"layer_norm": False}),
+            ("quadratic-no_layer_norm", {"sigma": "quadratic", "layer_norm": False}),
+        ]
+    ])
+    def test_catalog_equals_per_set(self, variant, aggregation, options):
+        m = _catalog(variant, aggregation, **options)
         # The tables read all 63 nonempty subsets: more than two full tapes.
         assert 2 ** m.universe - 1 > 2 * PREDICT_BLOCK
         _assert_batched_equals_per_set(m)
@@ -605,12 +618,36 @@ class TestTapeCount:
         assert calls == [5 + 10]
 
     def test_catalog_table_is_one_tape_per_block(self, monkeypatch):
+        """The column stage runs once per call over the items the call offers;
+        the set stage runs once per block of ``PREDICT_BLOCK`` sets."""
         m = _catalog("heads", "sum")
-        calls = self._count(monkeypatch, FeaturedModel)
+        columns, blocks = [], []
+        column_stage, set_stage = FeaturedModel.column_stage, FeaturedModel.set_stage
+
+        def counted_columns(model, nodes, x):
+            columns.append(x.shape[1])
+            return column_stage(model, nodes, x)
+
+        def counted_sets(model, nodes, base, modulators, seg, *rest):
+            blocks.append(seg.mask.shape[1])
+            return set_stage(model, nodes, base, modulators, seg, *rest)
+
+        monkeypatch.setattr(FeaturedModel, "column_stage", counted_columns)
+        monkeypatch.setattr(FeaturedModel, "set_stage", counted_sets)
         full_relative_table(m, 4)
         sets = 2 ** 6 - 1
-        assert len(calls) == math.ceil(sets / PREDICT_BLOCK)
-        assert sum(calls) == sets and max(calls) == PREDICT_BLOCK
+        assert columns == [m.universe]
+        assert len(blocks) == math.ceil(sets / PREDICT_BLOCK)
+        assert sum(blocks) == sets and max(blocks) == PREDICT_BLOCK
+        columns.clear()
+        blocks.clear()
+        marginal_effect(m, 0, (2, 4))
+        assert columns == [3] and blocks == [4]
+        columns.clear()
+        blocks.clear()
+        assert m.batch_set_utilities([]) == []
+        assert full_relative_table(m, 2, pairs=[]).entries == {}
+        assert columns == blocks == []
 
     @pytest.mark.parametrize("make", [
         lambda: _featureless("linear", "diagonal", 2), lambda: _catalog("resnet", "mean"),
