@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Protocol
 
 import numpy as np
@@ -40,6 +40,8 @@ from .data import DataFormatError, _keyed_rows, _read_table
 
 MARGINAL_CAP = 12
 UNIVERSE_GUARD = 10
+
+_comb = np.frompyfunc(math.comb, 2, 1)  # math.comb as a ufunc, for tables of binomials
 
 
 class EnumerationCapError(ValueError):
@@ -89,6 +91,53 @@ def _check_cap(size: int, cap: int, what: str) -> None:
         )
 
 
+def _lattice(ids: tuple[int, ...], max_size: int):
+    """Every subset of up to ``max_size + 1`` of ``ids``, and its successor table.
+
+    Returns ``(subsets, sizes, owner, pos, up)``.  ``subsets`` lists the
+    sorted subsets by size and then in lexicographic order, and ``sizes``
+    holds their sizes.  ``owner`` and ``pos`` list every (subset, member)
+    pair, subset by subset with members ascending: the subset's index and
+    the member's position in ``ids``.  ``up[i, c]`` is the index of
+    S + {ids[i]} for each S = ``subsets[c]`` of up to ``max_size`` ids, or
+    -1 where S holds ids[i].
+
+    It is built with array arithmetic and no Python work per subset: each
+    (subset, member) pair fills the cell of the subset without that member,
+    whose index is a dense rank.  Among the k-subsets of n ids in
+    lexicographic order, the one at positions p_1 < ... < p_k of ``ids``
+    comes ``C(n, k) - 1 - sum_i C(n - 1 - p_i, k + 1 - i)``-th, counting
+    from 0: the sum is the colexicographic rank of the mirrored positions.
+    It is below the number of k-subsets, so it fits in int64 for any number
+    of ids whose lattice fits in memory.
+    """
+    n, top = len(ids), max_size + 1
+    # binom[x, y] = C(x, y); binom[n] counts the subsets of each size.
+    binom = _comb.outer(np.arange(n + 1), np.arange(top + 1)).astype(np.int64)
+    counts = binom[n]
+    last = np.cumsum(counts) - 1  # the index of the last subset of each size
+    subsets = list(chain.from_iterable(combinations(ids, size) for size in range(top + 1)))
+    sizes = np.repeat(np.arange(top + 1), counts)
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(subsets)), sizes)
+    pos = np.searchsorted(np.array(ids, dtype=np.int64),
+                          np.fromiter(chain.from_iterable(subsets), dtype=np.int64,
+                                      count=int(ends[-1])))
+    size, start, stop = sizes[owner], (ends - sizes)[owner], ends[owner] - 1
+    # T without its member at slot j: the members before j keep their
+    # binomials C(n - 1 - p_i, k - 1 - i), and those after it move down one
+    # slot, to C(n - 1 - p_i, k - i).
+    slot = np.arange(pos.size) - start
+    at = (n - 1 - pos) * (top + 1) + size - slot  # binom.take(at) = C(n - 1 - p_i, k - i)
+    kept, moved = binom.take(at - 1), binom.take(at)
+    kept = np.cumsum(kept) - kept  # over the pairs before each one
+    moved = np.cumsum(moved)
+    colex = (kept - kept[start]) + (moved[stop] - moved)
+    up = np.full((n, int(last[max_size]) + 1), -1)
+    up[pos, last[size - 1] - colex] = owner  # counted back from the last (k - 1)-subset
+    return subsets, sizes, owner, pos, up
+
+
 def _effects(
     model: SetUtilityModel,
     items: tuple[int, ...],
@@ -108,11 +157,12 @@ def _effects(
     S + {items[r]}, or -1 where S holds ``items[r]`` or S + {items[r]} is
     not in the lattice.
 
-    All of it is read off one successor table ``up``: ``up[i, c]`` is the
-    column of S + {ids[i]} among the subsets of up to ``max_size + 1`` ids,
-    where S is lattice column c, or -1 where S holds ids[i].  A cell's
-    offered set is its ``up`` entry; the utilities of all the distinct ones
-    come from one :func:`_set_utilities` call.  The alternating sums are
+    All of it is read off one successor table ``up`` from :func:`_lattice`:
+    ``up[i, c]`` is the column of S + {ids[i]} among the subsets of up to
+    ``max_size + 1`` ids, where S is lattice column c, or -1 where S holds
+    ids[i].  A cell's offered set is its ``up`` entry; the utilities of all
+    the distinct ones come from one :func:`_set_utilities` call, and the
+    lattice's (subset, member) pairs place them.  The alternating sums are
     then one fast Moebius transform: for each id b in ascending order, every
     lattice subset holding b loses the value of the same subset without b,
     ``effects[:, up[b, S]] -= effects[:, S]``.  A cell reads only subsets of
@@ -121,42 +171,42 @@ def _effects(
     array holds.
     """
     ids = tuple(sorted(set(ground) | set(items)))
-    subsets = [s for size in range(max_size + 2) for s in combinations(ids, size)]
-    cols = {s: c for c, s in enumerate(subsets) if len(s) <= max_size}
-    width = len(cols)
-    index = {b: i for i, b in enumerate(ids)}
-    up = np.full((len(ids), width), -1)
-    for c, s in enumerate(subsets):
-        for pos, b in enumerate(s):
-            up[index[b], cols[s[:pos] + s[pos + 1 :]]] = c
+    n = len(ids)
+    subsets, sizes, owner, pos, up = _lattice(ids, max_size)
+    width = up.shape[1]
+    cols = dict(zip(subsets, range(width)))
     held = up < 0  # held[i, c]: lattice column c holds ids[i]
-    rows = np.array([index[j] for j in items], dtype=int)
+    rows = np.searchsorted(ids, items)
     succ = up[rows]
     valid = succ >= 0
     if partners is not None:
         near = np.array([[b in partners[j] for b in ids] for j in items], dtype=bool)
-        valid &= (held.sum(axis=0) < max_size) | (near.reshape(len(items), len(ids)) @ held)
-    offered = np.flatnonzero(np.bincount(succ[valid], minlength=len(subsets)))
-    utilities = np.full((len(ids), len(subsets)), np.nan)
+        valid &= (sizes[:width] < max_size) | (near.reshape(len(items), n) @ held)
+    chosen = np.zeros(len(subsets), dtype=bool)  # the offered sets
+    chosen[succ[valid]] = True
+    offered = np.flatnonzero(chosen)
+    utilities = np.full((n, len(subsets)), np.nan)
     if offered.size:
-        offered_sets = [subsets[o] for o in offered.tolist()]
-        values = _set_utilities(model, offered_sets)
-        for s, vals in zip(offered_sets, values):
-            if np.shape(vals) != (len(s),):
-                raise ValueError(
-                    f"utilities of offered set {s} have shape {np.shape(vals)}, "
-                    f"expected ({len(s)},)"
-                )
+        offered_sets = list(map(subsets.__getitem__, offered.tolist()))
+        values = list(map(np.asarray, _set_utilities(model, offered_sets)))
+        shapes = [vals.shape for vals in values]
+        expected = list(zip(sizes[offered].tolist()))  # (len(s),) for each set s
+        if shapes != expected:
+            s, shape = next((s, a) for s, a, b in zip(offered_sets, shapes, expected) if a != b)
+            raise ValueError(
+                f"utilities of offered set {s} have shape {shape}, expected ({len(s)},)"
+            )
         flat = np.concatenate(values)
         # One check over every value; the set is looked up only on failure.
         if not np.isfinite(flat).all():
             bad = next(s for s, vals in zip(offered_sets, values) if not np.isfinite(vals).all())
             raise ValueError(f"utilities of offered set {bad} are not finite")
-        utilities[[index[b] for s in offered_sets for b in s],
-                  np.repeat(offered, [len(s) for s in offered_sets])] = flat
+        pairs = chosen[owner]  # the (subset, member) pairs of the offered sets
+        utilities[pos[pairs], owner[pairs]] = flat
     effects = np.where(valid, utilities[rows[:, None], succ], np.nan)
-    for i in range(len(ids)):
-        lower = np.flatnonzero(~held[i] & (up[i] < width))
+    steps = ~held & (up < width)  # S lacks ids[i], and S + {ids[i]} is in the lattice
+    for i in range(n):
+        lower = np.flatnonzero(steps[i])
         effects[:, up[i, lower]] -= effects[:, lower]
     plus = np.where(succ < width, succ, -1)
     return cols, effects, plus

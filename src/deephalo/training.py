@@ -335,22 +335,38 @@ def train(model, dataset, config: TrainConfig):
     return model, history
 
 
+def _exact_products(terms, counts) -> list[float]:
+    """Floats whose exact sum is the sum of ``count * term`` over the cells.
+
+    Veltkamp's split (factor 2**27 + 1) cuts each term into two halves of
+    at most 26 significant bits, and each count is cut into 26-bit chunks,
+    so every half times every chunk is a float product without rounding.
+    """
+    terms = np.asarray(terms, dtype=float)
+    big = terms * 134217729.0
+    high = big - (big - terms)
+    counts = np.asarray(counts, dtype=np.int64)
+    chunks = [((counts >> shift) & (2**26 - 1)) * 2.0**shift for shift in (0, 26, 52)]
+    halves = (high, terms - high)
+    return np.concatenate([half * chunk for half in halves for chunk in chunks]).tolist()
+
+
 def _metrics(model, groups: Groups) -> Metrics:
     """Metrics from one prediction over all groups and their count table.
 
-    Each distinct (group, row) NLL term is computed once and repeated by
-    its count, so the fsum sees the same summands as a per-observation sum.
+    Each distinct (group, row) NLL term is computed once.  Its count times
+    it is split exactly into a few floats, so the fsum gives the same
+    exactly rounded total as a sum of one term per observation.
     """
     probs, mask = model.predict(groups.configs)
     table = _padded(groups.counts(), mask.shape[0])
-    nll_terms = []
-    for g, row in zip(*np.nonzero(table)):
-        nll_terms += [nll_loss(probs[:, g], int(row))] * int(table[g, row])
+    cells = np.nonzero(table)
+    nll_terms = [nll_loss(probs[:, g], int(row)) for g, row in zip(*cells)]
     hits = table[np.arange(table.shape[0]), np.argmax(probs, axis=0)].sum()
     diff = (probs - table.T / table.sum(axis=1))[mask]
     n = len(groups)
     return Metrics(
-        nll=math.fsum(nll_terms) / n,
+        nll=math.fsum(_exact_products(nll_terms, table[cells])) / n,
         accuracy=int(hits) / n,
         rmse=math.sqrt(math.fsum((diff * diff).tolist()) / diff.size),
     )

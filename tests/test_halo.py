@@ -8,6 +8,7 @@ import pytest
 
 from deephalo import data as dat
 from deephalo import featureless as fl
+from deephalo import halo
 from deephalo.featured import PREDICT_BLOCK, CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import (
@@ -332,6 +333,113 @@ class TestOneInversionPath:
                 oracle[k][src] + oracle[k][tuple(sorted(src + (j,)))]
             )
             assert abs(value - expected) <= 1e-9
+
+
+def _reference_effects(model, items, ground, max_size, partners=None):
+    """``halo._effects`` with its successor table filled one (subset, member)
+    pair at a time and its utilities placed one member at a time: the
+    reference for the array build."""
+    ids = tuple(sorted(set(ground) | set(items)))
+    subsets = [s for size in range(max_size + 2) for s in itertools.combinations(ids, size)]
+    cols = {s: c for c, s in enumerate(subsets) if len(s) <= max_size}
+    width = len(cols)
+    index = {b: i for i, b in enumerate(ids)}
+    up = np.full((len(ids), width), -1)
+    for c, s in enumerate(subsets):
+        for pos, b in enumerate(s):
+            up[index[b], cols[s[:pos] + s[pos + 1 :]]] = c
+    held = up < 0
+    rows = np.array([index[j] for j in items], dtype=int)
+    succ = up[rows]
+    valid = succ >= 0
+    if partners is not None:
+        near = np.array([[b in partners[j] for b in ids] for j in items], dtype=bool)
+        valid &= (held.sum(axis=0) < max_size) | (near.reshape(len(items), len(ids)) @ held)
+    offered = np.flatnonzero(np.bincount(succ[valid], minlength=len(subsets)))
+    utilities = np.full((len(ids), len(subsets)), np.nan)
+    for o in offered.tolist():
+        s = subsets[o]
+        vals = model.set_utilities(s)
+        for b, value in zip(s, vals):
+            utilities[index[b], o] = value
+    effects = np.where(valid, utilities[rows[:, None], succ], np.nan)
+    for i in range(len(ids)):
+        lower = np.flatnonzero(~held[i] & (up[i] < width))
+        effects[:, up[i, lower]] -= effects[:, lower]
+    plus = np.where(succ < width, succ, -1)
+    return cols, effects, plus
+
+
+def _assert_same_lattice(got, want):
+    """Equal column numbering in the same order, ``plus`` equal, ``effects``
+    equal bit for bit with NaN in the same cells."""
+    (cols, effects, plus), (ref_cols, ref_effects, ref_plus) = got, want
+    assert list(cols.items()) == list(ref_cols.items())
+    np.testing.assert_array_equal(plus, ref_plus)
+    nan = np.isnan(ref_effects)
+    np.testing.assert_array_equal(np.isnan(effects), nan)
+    np.testing.assert_array_equal(effects[~nan].view(np.int64), ref_effects[~nan].view(np.int64))
+
+
+class TestLatticeOracle:
+    """``_effects`` builds its lattice with array arithmetic; a loop over every
+    (subset, member) pair is the reference, and every output is the same."""
+
+    @pytest.mark.parametrize("ids", [(0,), (0, 1), (0, 1, 2, 3), (1, 4), (2, 5, 7, 9)],
+                             ids=["n1", "n2", "n4", "scattered2", "scattered4"])
+    @pytest.mark.parametrize("shape", ["all", "one", "pairs"])
+    def test_effects_equal_reference_loop(self, ids, shape):
+        m = PlantedModel(10, seed=30)
+        if shape == "all":
+            items, ground, partners = ids, ids, None
+        elif shape == "one":  # as marginal_effect asks: the item outside its ground
+            items, ground, partners = ids[-1:], ids[:-1], None
+        else:  # as full_relative_table asks: each item with its pair partners
+            items, ground, partners = ids, ids, {j: set() for j in ids}
+            for j, k in zip(ids, ids[1:]):
+                partners[j].add(k)
+                partners[k].add(j)
+        for max_size in range(len(ids)):
+            _assert_same_lattice(halo._effects(m, items, ground, max_size, partners),
+                                 _reference_effects(m, items, ground, max_size, partners))
+
+    def test_lone_calls_and_tables_equal_reference_loop(self, monkeypatch):
+        m = PlantedModel(10, seed=31)
+        effects, calls = halo._effects, []
+
+        def checked(*args):
+            calls.append(args[1:])
+            got = effects(*args)
+            _assert_same_lattice(got, _reference_effects(*args))
+            return got
+
+        monkeypatch.setattr(halo, "_effects", checked)
+        marginal_effect(m, 0, (2, 5, 9))
+        relative_halo(m, 0, 7, (2, 5, 9))
+        reconstruct_utility(m, 5, (2, 5, 9))
+        full_relative_table(m, 2, pairs=[(2, 5), (5, 9)])
+        full_context_table(PlantedModel(5, seed=32), 3)
+        assert calls[:2] == [((0,), (2, 5, 9), 3), ((0, 7), (0, 2, 5, 7, 9), 4)]
+        assert len(calls) == 5
+
+    def test_seventy_ids_equal_reference_loop(self, monkeypatch):
+        # A bit mask per subset would overflow int64 past 62 ids.
+        m = PairwiseModel(70, seed=33)
+
+        def tables():
+            return [full_context_table(m, 1).entries,
+                    full_relative_table(m, 0, force=True).entries,
+                    full_relative_table(m, 1, pairs=[(3, 66)], force=True).entries]
+
+        got = tables()
+        monkeypatch.setattr(halo, "_effects", _reference_effects)
+        want = tables()
+        for table, ref in zip(got, want):
+            assert [(key, value.hex()) for key, value in table.items()] == [
+                (key, value.hex()) for key, value in ref.items()
+            ]
+        assert len(got[2]) == 1 + 68
+        assert got[2][(3, 66, (40,))] == pytest.approx(m.push[40, 3] - m.push[40, 66], abs=1e-12)
 
 
 def _relative_keys(n, max_order, pairs):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from deephalo.training import (
     Metrics,
     TrainConfig,
     TrainingDivergedError,
+    _exact_products,
     adam_step,
     evaluate,
     mse_onehot_loss,
@@ -242,6 +244,24 @@ class TestEvaluate:
         m = FeaturelessModel.mnl(2)
         with pytest.raises(ValueError):
             evaluate(m, dat.Dataset([], universe=2))
+
+    def test_count_times_term_splits_exactly(self):
+        """The split floats sum exactly to each count times its term, so one
+        fsum rounds the NLL total once, as a sum of one term per observation does."""
+        rng = np.random.default_rng(12)
+        terms = np.concatenate([-np.log(rng.uniform(size=300)),
+                                [0.0, -0.0, 2.0**-52, 1.0 / 3.0, 744.44, math.pi]])
+        counts = np.concatenate([rng.integers(1, 2**40, size=300),
+                                 [1, 2**27, 2**40 + 12345, 2**53 - 1, 2**62 + 3, 7]])
+        products = _exact_products(terms.tolist(), counts)
+        assert len(products) == 6 * len(terms)
+        exact = sum(Fraction(float(t)) * int(c) for t, c in zip(terms, counts))
+        assert sum(map(Fraction, products)) == exact
+        assert math.fsum(products) == float(exact)
+        small = [(0.1, 3), (math.log(3.0), 1000), (2.5e-17, 2**20)]
+        assert math.fsum(_exact_products(*zip(*small))) == math.fsum(
+            [t for t, c in small for _ in range(c)]
+        )
 
 
 class TestInvariants:
