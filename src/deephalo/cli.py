@@ -157,6 +157,13 @@ OPTIONS = {
     },
 }
 
+# The architecture options each model kind reads, with their least value
+# (--width 0 picks the kind's default width).
+ARCHITECTURE_MINIMA = {
+    "deephalo-fl": {"depth": 1, "width": 0},
+    "deephalo-feat": {"depth": 1, "width": 0, "heads": 1},
+}
+
 # Training config files may use the TrainConfig field names directly.
 CONFIG_ALIASES = {
     "learning_rate": "lr",
@@ -380,6 +387,9 @@ def _cmd_train(args) -> int:
         manifest.add_output(conf["out"])
         rank = _parse_rank(conf["rank"])
         config = _train_config(conf, _parse_schedule(conf))
+        for name, least in ARCHITECTURE_MINIMA.get(conf["model"], {}).items():
+            if conf[name] < least:
+                raise UsageError(f"--{name} must be at least {least}, got {conf[name]}")
         dataset = _load_dataset(conf, "train")
         model = _build_model(conf, dataset, rank)
         model, history = trn.train(model, dataset, config)
@@ -496,6 +506,8 @@ def _cmd_halo(args) -> int:
             raise UsageError(f"halo requires --{required.replace('_', '-')}")
     with Manifest("halo", conf, [conf["model_file"]]) as manifest:
         manifest.add_output(conf["out"])
+        if conf["max_order"] < 0:
+            raise UsageError(f"--max-order must be at least 0, got {conf['max_order']}")
         pairs = [_parse_pair(conf["pair"])] if conf["pair"] else None
         model = _load_model(conf["model_file"])
         if model.kind != "featureless":

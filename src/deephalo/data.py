@@ -5,8 +5,8 @@ A dataset holds observations over a fixed universe of alternative ids
 (padded to a common width with dummy slots) and records the chosen id.
 Feature-based observations additionally carry a ``feature_dim x width``
 matrix whose dummy columns are exactly zero.  A :class:`Dataset` keeps
-them as columns: the distinct offered sets once, and integer arrays that
-index them.
+them as columns: each distinct configuration (offered set, with its feature
+block) once, and integer arrays that index them.
 
 Every CSV format is read through one table reader, ``_read_table``, which
 checks the header and each row's field count.  Real choice logs repeat a
@@ -98,19 +98,20 @@ class Observation:
 class Dataset:
     """Observations stored as columns over a fixed universe.
 
-    ``sets`` holds each distinct offered set once, as a shared
-    :class:`ChoiceSet`, in first-seen order.  Observation ``i`` offers
-    ``sets[set_index[i]]`` and chooses the id ``chosen[i]``, which sits in
-    slot ``slot[i]`` of that set.  Feature-based data stack the observations'
-    ``feature_dim x width`` blocks in ``features`` (observations x
-    feature_dim x the widest set's width; dummy columns, and columns past a
-    narrower set's width, are exactly zero); featureless data have
-    ``features`` None.
+    ``set_index[i]`` is observation ``i``'s configuration ``s``, what a model
+    reads, and each distinct one is stored once.  Featureless data store an
+    offered set, the shared :class:`ChoiceSet` ``sets[s]``, and have
+    ``features`` None.  Featured data store an (offered set, feature block)
+    pair, ``sets[s]`` and ``features[s]``, in first-seen order; blocks with
+    different bits differ (configurations x feature_dim x the widest width;
+    dummy columns, and columns past a narrower set's width, are exactly
+    zero).  Observation ``i`` chooses ``chosen[i]``, in slot ``slot[i]``.
 
     ``Dataset(observations, universe, feature_dim)`` turns a list of
     :class:`Observation` into columns; :meth:`from_columns` takes columns
-    that a loader or a generator built.  :attr:`observations` and
-    :meth:`observations_for` build :class:`Observation` views on demand.
+    that a loader or a generator built, one feature block per observation.
+    Both merge equal configurations in :meth:`_store`.  :attr:`observations`
+    and :meth:`observations_for` build :class:`Observation` views on demand.
     """
 
     def __init__(
@@ -154,8 +155,18 @@ class Dataset:
                 raise DataFormatError(
                     f"id {max(cs.items)} outside universe of size {universe}"
                 )
+        set_index = np.asarray(set_index, dtype=np.intp)
+        if features is not None:
+            # Distinct (set, block bytes) pairs in first-seen order: -0.0 and 0.0 differ.
+            width = math.prod(features.shape[1:])
+            key = np.column_stack([set_index, features.reshape(len(set_index), width)])
+            rows = key.view(np.dtype((np.void, key.itemsize * (1 + width)))).ravel()
+            _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+            kept, configuration = np.unique(first[inverse], return_inverse=True)
+            sets = [sets[s] for s in set_index[kept].tolist()]
+            set_index, features = configuration, features[kept]
         self.sets: list[ChoiceSet] = sets
-        self.set_index = np.asarray(set_index, dtype=np.intp)
+        self.set_index = set_index
         self.chosen = np.asarray(chosen, dtype=np.int64)
         self.slot = np.asarray(slot, dtype=np.intp)
         self.features: np.ndarray | None = features
@@ -176,7 +187,10 @@ class Dataset:
             == [other.sets[s] for s in other.set_index.tolist()]
             and np.array_equal(self.chosen, other.chosen)
             and (self.features is None) == (other.features is None)
-            and (self.features is None or np.array_equal(self.features, other.features))
+            and (
+                self.features is None
+                or np.array_equal(self.features[self.set_index], other.features[other.set_index])
+            )
         )
 
     @property
@@ -184,9 +198,10 @@ class Dataset:
         return max(cs.width for cs in self.sets)
 
     def configuration(self, i: int) -> tuple[ChoiceSet, np.ndarray | None]:
-        """Observation ``i``'s offered set and feature block (None without features)."""
-        cs = self.sets[self.set_index[i]]
-        return cs, None if self.features is None else self.features[i, :, : cs.width]
+        """Observation ``i``'s configuration: its offered set and feature block (or None)."""
+        s = self.set_index[i]
+        cs = self.sets[s]
+        return cs, None if self.features is None else self.features[s, :, : cs.width]
 
     @property
     def observations(self) -> list[Observation]:

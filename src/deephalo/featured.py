@@ -369,17 +369,12 @@ class CatalogSetModel:
         self.universe = item_features.shape[1]
 
     def set_utilities(self, ids) -> np.ndarray:
-        """Utilities aligned with ``ids`` order (halo-extraction hook).
-
-        One set is one :meth:`FeaturedModel.forward`, so a traced run counts
-        each per-set halo forward as a featured forward.
-        """
-        ids = check_ids(ids, self.universe)
-        features = self.item_features[:, list(ids)]
-        return self.model.forward(features, np.ones(len(ids), dtype=bool)).values
+        """Utilities aligned with ``ids`` order (halo-extraction hook)."""
+        return self.batch_set_utilities([ids])[0]
 
     def batch_set_utilities(self, sets) -> list[np.ndarray]:
-        """:meth:`set_utilities` of each set, bit for bit.
+        """Utilities of each set, aligned with its ids; each equals the
+        :meth:`FeaturedModel.forward` of the set's item columns bit for bit.
 
         The column stage runs once per call, over the items the sets offer:
         an item's embedding and modulators are the same columns in every set

@@ -169,24 +169,20 @@ class Groups:
     set, or the (features, mask) pair), and ``rows[j]`` is the row in that
     configuration's utility column of an observation that chooses slot
     ``j`` (the item id, or the slot itself).  It is called once per stored
-    configuration that ``index`` reaches, in first-seen order: once per
-    offered set of featureless data, once per feature block of featured
-    data.  ``configs`` holds one configuration per distinct key, in
-    first-seen order; for observation ``index[i]``, ``group[i]`` is its
-    position in ``configs`` and ``row[i]`` its row, both read by array
-    indexing.  No result depends on the group order, since every reduction
-    over groups is a sorted sum or an fsum.
+    configuration (``dataset.set_index``) that ``index`` reaches: an offered
+    set of featureless data, an (offered set, feature block) pair of featured
+    data.  ``configs`` holds one configuration per distinct key, in the
+    dataset's configuration order; ``group[i]`` and ``row[i]``, the position
+    in ``configs`` and the row of observation ``index[i]``, come by array
+    indexing.  No result depends on the group order (sorted sums and fsums).
     """
 
     def __init__(self, model, dataset: Dataset, index: np.ndarray):
-        stored = index if dataset.features is not None else dataset.set_index[index]
+        stored = dataset.set_index[index]
         _, first, inverse = np.unique(stored, return_index=True, return_inverse=True)
-        seen = np.argsort(first)  # the distinct stored configurations in first-seen order
-        rank = np.empty_like(seen)
-        rank[seen] = np.arange(seen.size)
         keys: dict = {}
         self.configs, group, start, rows = [], [], [], []
-        for i in index[first[seen]].tolist():
+        for i in index[first].tolist():
             key, config, r = model.group_key(*dataset.configuration(i))
             g = keys.setdefault(key, len(keys))
             if g == len(self.configs):
@@ -194,9 +190,8 @@ class Groups:
             group.append(g)
             start.append(len(rows))
             rows.extend(r)
-        order = rank[inverse]  # each observation's stored configuration
-        self.group = np.array(group)[order]
-        self.row = np.array(rows)[np.array(start)[order] + dataset.slot[index]]
+        self.group = np.array(group)[inverse]
+        self.row = np.array(rows)[np.array(start)[inverse] + dataset.slot[index]]
         self.rows = int(self.row.max()) + 1
 
     def __len__(self) -> int:

@@ -426,6 +426,34 @@ class TestTrain:
         assert f"--rank must be a positive integer or 'full', got {named}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, flag, value, least", [
+        ("deephalo-fl", "--depth", "0", 1),
+        ("deephalo-fl", "--width", "-2", 0),
+        ("deephalo-feat", "--depth", "-1", 1),
+        ("deephalo-feat", "--heads", "0", 1),
+        ("deephalo-feat", "--width", "-1", 0),
+    ])
+    def test_architecture_below_its_least_is_usage_error_before_loading(
+        self, tmp_path, capsys, model, flag, value, least
+    ):
+        """The data files do not exist: the flag is checked before they load."""
+        out = tmp_path / "m.json"
+        items = ["--items", str(tmp_path / "items.csv")] if model == "deephalo-feat" else []
+        code = run("train", "--model", model, "--data", str(tmp_path / "absent.csv"), *items,
+                   flag, value, "-o", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"usage error: {flag} must be at least {least}, got {value}" in err
+        assert not out.exists()
+
+    def test_architecture_flags_a_model_kind_does_not_read_are_not_checked(
+        self, tmp_path, beverage_csv
+    ):
+        out = tmp_path / "m.json"
+        code = run("train", "--model", "mnl", "--data", str(beverage_csv), "--depth", "0",
+                   "--heads", "0", "--width", "-1", "--epochs", "1", "-o", str(out))
+        assert code == 0 and out.exists()
+
     def test_split_index_out_of_range_names_manifest(self, tmp_path, capsys, beverage_csv):
         split = tmp_path / "split.json"
         split.write_text(json.dumps({"train": [0, 1, 999999]}))
@@ -820,10 +848,15 @@ class TestHalo:
         assert "config key 'force' must be true or false" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_order_fails_without_table(self, tmp_path, trained_model):
+    def test_negative_order_fails_without_table(self, tmp_path, capsys, trained_model):
         out = tmp_path / "alpha.csv"
         assert run("halo", "--model-file", str(trained_model),
-                   "--max-order", "-1", "-o", str(out)) == 1
+                   "--max-order", "-1", "-o", str(out)) == 2
+        assert "usage error: --max-order must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+        # Checked before the model file loads.
+        assert run("halo", "--model-file", str(tmp_path / "absent.json"),
+                   "--max-order", "-1", "-o", str(out)) == 2
         assert not out.exists()
 
     def test_missing_output_usage_error(self, trained_model):

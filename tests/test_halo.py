@@ -628,6 +628,12 @@ class TestBatchedForwards:
         # The tables read all 63 nonempty subsets: more than two full tapes.
         assert 2 ** m.universe - 1 > 2 * PREDICT_BLOCK
         _assert_batched_equals_per_set(m)
+        # set_utilities is a batch of one, so the reference is the featured
+        # model's one-set forward, which does not go through the batched path.
+        for size in range(1, m.universe + 1):
+            for ids in itertools.combinations(range(m.universe), size):
+                want = m.model.forward(m.item_features[:, ids], np.ones(size, dtype=bool))
+                assert np.array_equal(m.set_utilities(ids), want.values)
 
     def test_batch_aligned_with_id_order(self):
         for m in (_featureless("quadratic", "dense", None), _catalog("heads", "mean")):
@@ -762,7 +768,17 @@ class TestTapeCount:
     ], ids=["featureless", "catalog"])
     def test_set_utilities_only_runs_one_tape_per_set(self, monkeypatch, make):
         m = make()
-        calls = self._count(monkeypatch, type(getattr(m, "model", m)))
+        if isinstance(m, CatalogSetModel):
+            # A catalog set is a batch of one: one set stage over one set.
+            calls, set_stage = [], FeaturedModel.set_stage
+
+            def counted(model, nodes, base, modulators, seg, *rest):
+                calls.append(seg.mask.shape[1])
+                return set_stage(model, nodes, base, modulators, seg, *rest)
+
+            monkeypatch.setattr(FeaturedModel, "set_stage", counted)
+        else:
+            calls = self._count(monkeypatch, FeaturelessModel)
         full_relative_table(SetUtilitiesOnly(m), 2)
         n = m.universe
         assert calls == [1] * sum(math.comb(n, s) for s in range(1, 5))

@@ -71,9 +71,10 @@ def test_tracer_counts_featured_batches_predict_blocks_and_halo_forwards():
     # blocks once an epoch for validation and once for the evaluation.
     assert counts["training.adam_step.calls"] == 6
     assert counts["featured.predict.calls"] == 3
-    forwards = counts["halo.forward.calls"]
-    assert forwards > 0 and counts["featured.forward.calls"] == forwards
-    assert counts["featured.utilities_node.calls"] == 6 + 3 * blocks + forwards
+    # A traced halo goes set by set, and a catalog set is a batch of one
+    # (column stage, then set stage), not a featured forward.
+    assert counts["halo.forward.calls"] > 0 and counts["featured.forward.calls"] == 0
+    assert counts["featured.utilities_node.calls"] == 6 + 3 * blocks
     assert counts["autodiff.masked_log_softmax.calls"] == 6
     assert _hooks() == before
 
@@ -99,9 +100,9 @@ def test_each_public_load_is_one_data_load_span(tmp_path):
 
 
 def test_grouping_calls_group_key_once_per_distinct_configuration():
-    """Featureless data: one call per offered set and ``Groups`` built, not per
-    observation.  Featured data store one feature block per observation, so
-    there it stays one call per observation."""
+    """One call per stored configuration and ``Groups`` built, not per
+    observation: an offered set of featureless data, an (offered set,
+    feature block) pair of featured data."""
     ds = dat.sample_choices(dat.beverage_fixture(), 200, seed=8)  # 2,200 observations
     halves = ds.with_splits({"train": list(range(0, 2200, 2)), "val": list(range(1, 2200, 2))})
     model = FeaturelessModel.deephalo(4, width=6, depth=2, seed=1)
@@ -127,5 +128,6 @@ def test_grouping_calls_group_key_once_per_distinct_configuration():
     model = featured.FeaturedModel(3, 4, 2, 2, seed=5)
     with tracing.Tracer() as tracer:
         training.train(model, featured_ds, training.TrainConfig(max_epochs=2, batch_size=16, seed=0))
-        training.evaluate(model, featured_ds)
-    assert tracer.counts["featured.group_key.calls"] == 40 * 2
+        training.evaluate(model, featured_ds)  # 3 distinct blocks, in 2 Groups
+    assert len(featured_ds.sets) == 3
+    assert tracer.counts["featured.group_key.calls"] == 3 * 2

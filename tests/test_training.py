@@ -3,11 +3,15 @@
 import copy
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import deephalo
 from deephalo import autodiff as ad
 from deephalo import data as dat
 from deephalo.featured import FeaturedModel
@@ -510,6 +514,82 @@ class TestGroupingContract:
         assert evaluate(reverse_model, reverse) == evaluate(model, ds)
 
 
+_ITEMS = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])  # 2 features x 3 items
+_CONFIGS = [((0, 1), (0.5, 0.0)), ((2, 0, 1), (1.0, -2.0)), ((1, 2), (0.5, 0.0))]
+
+
+def _featured_rows(signed_zero: bool):
+    """(ids, chosen, shared) rows: each configuration of ``_CONFIGS`` repeats
+    under different choices.  With ``signed_zero`` every other row of the
+    first configuration carries -0.0 in place of its shared 0.0."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for i in range(30):
+        ids, shared = _CONFIGS[i % 3]
+        if signed_zero and i % 6 == 0:
+            shared = (shared[0], -0.0)
+        rows.append((ids, ids[int(rng.integers(len(ids)))], shared))
+    return rows
+
+
+def _featured_files(tmp_path, rows):
+    items, obs = tmp_path / "items.csv", tmp_path / "obs.csv"
+    items.write_text("item_id,f1,f2\n" + "".join(
+        f"{item},{float(_ITEMS[0, item])!r},{float(_ITEMS[1, item])!r}\n" for item in range(3)
+    ))
+    obs.write_text("set,choice,s1,s2\n" + "".join(
+        f"{';'.join(map(str, ids))},{chosen},{shared[0]!r},{shared[1]!r}\n"
+        for ids, chosen, shared in rows
+    ))
+    return items, obs
+
+
+def _featured_twin(rows) -> dat.Dataset:
+    """The same data as :class:`Observation` objects, one block each."""
+    observations = []
+    for ids, chosen, shared in rows:
+        x = np.zeros((4, 3))
+        x[:2, : len(ids)] = _ITEMS[:, list(ids)]
+        x[2:, : len(ids)] = np.array(shared)[:, None]
+        observations.append(dat.Observation(dat.ChoiceSet(ids, 3), chosen, x))
+    return dat.Dataset(observations, universe=3, feature_dim=4)
+
+
+class TestConfigurationIndex:
+    """Featured data store each distinct (offered set, feature block) once."""
+
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["repeats", "signed-zero"])
+    def test_loaded_file_stores_each_configuration_once(self, tmp_path, signed_zero):
+        rows = _featured_rows(signed_zero)
+        ds = dat.load_featured_csv(*_featured_files(tmp_path, rows))
+        assert ds == _featured_twin(rows)
+        assert len(ds) == 30 and len(ds.sets) == ds.features.shape[0] == 3 + signed_zero
+        for i, (ids, chosen, shared) in enumerate(rows):
+            cs, x = ds.configuration(i)
+            assert (cs.items, int(ds.chosen[i])) == (ids, chosen)
+            assert x[2:, 0].tobytes() == np.array(shared).tobytes()
+        # With signed zeros, the first offered set has two blocks that differ
+        # only in a sign bit, in first-seen order: row 0 carries -0.0.
+        first = [s for s, cs in enumerate(ds.sets) if cs.items == (0, 1)]
+        signs = np.signbit(ds.features[first, 3, 0]).tolist()
+        assert signs == ([True, False] if signed_zero else [False])
+
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["repeats", "signed-zero"])
+    def test_evaluate_and_train_equal_per_observation_definitions(self, tmp_path, signed_zero):
+        ds = dat.load_featured_csv(*_featured_files(tmp_path, _featured_rows(signed_zero)))
+        model = FeaturedModel(4, 4, 2, 2, seed=7)
+        model.params["readout"] *= 50.0
+        want = _reference_metrics(model, ds.observations, _featured_reference)
+        assert evaluate(model, ds) == want
+        cfg = TrainConfig(loss="nll", learning_rate=0.02, batch_size=7, max_epochs=2, seed=3)
+        ref_model = copy.deepcopy(model)
+        model, history = train(model, ds, cfg)
+        ref_history = _reference_train(ref_model, ds, cfg, _featured_reference)
+        assert history.digest() == ref_history.digest()
+        for (_, got), (_, want) in zip(model.trainables(), ref_model.trainables()):
+            assert np.array_equal(got, want)
+
+
 class TestLocatedErrors:
     def test_empty_batch(self):
         m = FeaturelessModel.mnl(2)
@@ -617,3 +697,27 @@ def test_featured_mixed_widths_train_and_evaluate():
         trained, history = train(FeaturedModel(3, 4, 2, 2, seed=5), ds, cfg)
         losses = [r.train_loss for r in history.records]
         assert np.isfinite(losses).all() and losses[-1] < losses[0]
+
+
+def test_featureless_run_does_not_import_numpy_ma(tmp_path):
+    """``numpy.ma`` costs about 1 MB of RSS and 11 ms per process, and
+    ``np.unique``'s values-only form imports it.  A featureless load, train,
+    evaluate and halo table in a fresh process must not."""
+    path = tmp_path / "bev.csv"
+    dat.write_featureless_csv(dat.sample_choices(dat.beverage_fixture(), 20, seed=1), path)
+    script = f"""
+import sys
+from deephalo import data, halo, training
+from deephalo.featureless import FeaturelessModel
+assert "numpy.ma" not in sys.modules
+ds = data.load_featureless_csv({str(path)!r})
+model = FeaturelessModel.deephalo(ds.universe, width=6, depth=2, seed=1)
+training.train(model, ds, training.TrainConfig(max_epochs=2, batch_size=50))
+training.evaluate(model, ds)
+halo.full_relative_table(model, 2)
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(deephalo.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
