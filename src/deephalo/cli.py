@@ -151,7 +151,8 @@ OPTIONS = {
         "max_order": (2, {"type": int}),
         "pair": (None, {"help": "restrict to one pair, e.g. 1,2"}),
         "svg": (None, {"help": "also render a heatmap SVG"}),
-        "force": (False, {"action": "store_const", "const": True}),
+        "force": (False, {"action": "store_const", "const": True,
+                          "help": f"lift the subset budget ({hal.SUBSET_BUDGET} lattice subsets)"}),
         "seed": (0, {"type": int}),
         "out": (None, {}),
     },

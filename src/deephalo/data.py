@@ -95,6 +95,11 @@ class Observation:
         return self.choice_set.items.index(self.chosen)
 
 
+def _bits(blocks: np.ndarray) -> np.ndarray:
+    """Feature blocks as the integers of their float64 bits, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(blocks, dtype=np.float64).view(np.int64)
+
+
 class Dataset:
     """Observations stored as columns over a fixed universe.
 
@@ -189,7 +194,8 @@ class Dataset:
             and (self.features is None) == (other.features is None)
             and (
                 self.features is None
-                or np.array_equal(self.features[self.set_index], other.features[other.set_index])
+                or np.array_equal(_bits(self.features[self.set_index]),
+                                  _bits(other.features[other.set_index]))
             )
         )
 

@@ -24,7 +24,9 @@ offered set, then the fast Moebius transform (Kennes & Smets,
 "Computational aspects of the Moebius transformation", UAI 1990), which
 turns the alternating sums for every source set at once into one
 in-place butterfly step per item id.  Subset enumeration is exponential
-by design, guarded by explicit caps rather than sampling.
+by design: rather than sampling, every extraction counts the subsets of
+the lattice it is about to build and refuses, before any forward, a
+count above ``SUBSET_BUDGET`` unless it is forced.
 """
 
 from __future__ import annotations
@@ -38,14 +40,15 @@ import numpy as np
 
 from .data import DataFormatError, _keyed_rows, _read_table
 
-MARGINAL_CAP = 12
-UNIVERSE_GUARD = 10
+# The most lattice subsets an extraction builds unless forced: 2^13, the
+# lattice of one effect over a 12-id source or of a full 13-item table.
+SUBSET_BUDGET = 2**13
 
 _comb = np.frompyfunc(math.comb, 2, 1)  # math.comb as a ufunc, for tables of binomials
 
 
 class EnumerationCapError(ValueError):
-    """A request would enumerate more subsets than the configured cap."""
+    """A request would enumerate more subsets than ``SUBSET_BUDGET``."""
 
 
 class SetUtilityModel(Protocol):
@@ -81,14 +84,6 @@ def _as_source(item: int, source) -> tuple[int, ...]:
     if item in src:
         raise ValueError(f"item {item} cannot appear in its own source set {src}")
     return src
-
-
-def _check_cap(size: int, cap: int, what: str) -> None:
-    if size > cap:
-        raise EnumerationCapError(
-            f"{what} spans 2^{size} = {2**size} subsets, "
-            f"above the cap of 2^{cap}; raise the cap to proceed"
-        )
 
 
 def _lattice(ids: tuple[int, ...], max_size: int):
@@ -144,6 +139,7 @@ def _effects(
     ground: tuple[int, ...],
     max_size: int,
     partners: dict[int, set[int]] | None = None,
+    force: bool = False,
 ) -> tuple[dict[tuple[int, ...], int], np.ndarray, np.ndarray]:
     """Marginal effects of the small subsets of ``ground`` on each of ``items``.
 
@@ -156,6 +152,10 @@ def _effects(
     Cells outside that hold NaN.  ``plus[r, cols[S]]`` is the column of
     S + {items[r]}, or -1 where S holds ``items[r]`` or S + {items[r]} is
     not in the lattice.
+
+    Unless ``force`` is set, a lattice of more than ``SUBSET_BUDGET``
+    subsets (those of up to ``max_size + 1`` ids) is refused with
+    :class:`EnumerationCapError` before anything is built or evaluated.
 
     All of it is read off one successor table ``up`` from :func:`_lattice`:
     ``up[i, c]`` is the column of S + {ids[i]} among the subsets of up to
@@ -172,6 +172,12 @@ def _effects(
     """
     ids = tuple(sorted(set(ground) | set(items)))
     n = len(ids)
+    count = sum(math.comb(n, s) for s in range(max_size + 2))
+    if count > SUBSET_BUDGET and not force:
+        raise EnumerationCapError(
+            f"the lattice over {n} ids holds {count} subsets, above the budget of "
+            f"{SUBSET_BUDGET}; pass force=True (--force on the command line) to run anyway"
+        )
     subsets, sizes, owner, pos, up = _lattice(ids, max_size)
     width = up.shape[1]
     cols = dict(zip(subsets, range(width)))
@@ -218,9 +224,7 @@ def _alphas(effects, plus, row_j, row_k, t) -> np.ndarray:
     return (e_j[t] + e_j[plus[row_k, t]]) - (e_k[t] + e_k[plus[row_j, t]])
 
 
-def marginal_effect(
-    model: SetUtilityModel, item: int, source, cap: int = MARGINAL_CAP
-) -> float:
+def marginal_effect(model: SetUtilityModel, item: int, source, force: bool = False) -> float:
     """Marginal utility contribution of ``source`` to ``item``.
 
     Exact inversion over all subsets of the source set, the model's
@@ -228,13 +232,12 @@ def marginal_effect(
     entry of any table.
     """
     src = _as_source(item, source)
-    _check_cap(len(src), cap, f"marginal effect of {src} on item {item}")
-    cols, effects, _ = _effects(model, (item,), src, len(src))
+    cols, effects, _ = _effects(model, (item,), src, len(src), force=force)
     return float(effects[0, cols[src]])
 
 
 def reconstruct_utility(
-    model: SetUtilityModel, item: int, choice_set, cap: int = MARGINAL_CAP
+    model: SetUtilityModel, item: int, choice_set, force: bool = False
 ) -> float:
     """Sum of marginal effects over all source subsets of the offered set.
 
@@ -243,17 +246,16 @@ def reconstruct_utility(
     rounded sum.
     """
     ids = tuple(sorted(int(i) for i in choice_set))
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate ids in offered set {choice_set}")
     if item not in ids:
         raise ValueError(f"item {item} is not offered in {ids}")
     others = tuple(i for i in ids if i != item)
-    _check_cap(len(ids), cap, f"utility reconstruction over {ids}")
-    cols, effects, _ = _effects(model, (item,), others, len(others))
+    cols, effects, _ = _effects(model, (item,), others, len(others), force=force)
     return math.fsum(effects[0, [c for s, c in cols.items() if item not in s]].tolist())
 
 
-def relative_halo(
-    model: SetUtilityModel, j: int, k: int, source, cap: int = MARGINAL_CAP
-) -> float:
+def relative_halo(model: SetUtilityModel, j: int, k: int, source, force: bool = False) -> float:
     """Gauge-free effect of ``source`` on the utility gap between j and k.
 
     Antisymmetric in (j, k) exactly: both orientations combine the same
@@ -264,8 +266,9 @@ def relative_halo(
     src = _as_source(j, source)
     if k in src:
         raise ValueError(f"item {k} cannot appear in the source set {src}")
-    _check_cap(len(src) + 1, cap, f"relative effect of {src} on ({j}, {k})")
-    cols, effects, plus = _effects(model, (j, k), tuple(sorted(src + (j, k))), len(src) + 1)
+    cols, effects, plus = _effects(
+        model, (j, k), tuple(sorted(src + (j, k))), len(src) + 1, force=force
+    )
     return float(_alphas(effects, plus, 0, 1, [cols[src]])[0])
 
 
@@ -321,14 +324,12 @@ class RelativeHaloTable:
 
 
 def full_context_table(
-    model: SetUtilityModel, max_order: int, cap: int = MARGINAL_CAP
+    model: SetUtilityModel, max_order: int, force: bool = False
 ) -> ContextEffectTable:
     _check_order(max_order)
     n = model.universe
-    largest = min(max_order, n - 1)
-    _check_cap(largest, cap, f"a source set of {largest} items")
     items = tuple(range(n))
-    cols, effects, _ = _effects(model, items, items, largest)
+    cols, effects, _ = _effects(model, items, items, min(max_order, n - 1), force=force)
     table = ContextEffectTable(n, max_order)
     for item in items:
         row = effects[item].tolist()
@@ -340,20 +341,11 @@ def full_relative_table(
     model: SetUtilityModel,
     max_order: int,
     pairs: list[tuple[int, int]] | None = None,
-    guard: int = UNIVERSE_GUARD,
     force: bool = False,
-    cap: int = MARGINAL_CAP,
 ) -> RelativeHaloTable:
     """Relative effects for every pair and every source up to max_order."""
     _check_order(max_order)
     n = model.universe
-    if n > guard and not force:
-        # One forward per offered set of at most max_order + 2 items.
-        forwards = sum(math.comb(n, s) for s in range(1, min(max_order + 2, n) + 1))
-        raise EnumerationCapError(
-            f"universe of {n} items needs {forwards} forward passes "
-            f"(guard is {guard} items); use the force option to run anyway"
-        )
     if pairs is None:
         pairs = list(combinations(range(n), 2))
     partners: dict[int, set[int]] = {}
@@ -362,10 +354,10 @@ def full_relative_table(
             raise ValueError(f"pair ({j}, {k}) must satisfy 0 <= j < k < universe")
         partners.setdefault(j, set()).add(k)
         partners.setdefault(k, set()).add(j)
-    largest = min(max_order, n - 2) + 1
-    _check_cap(largest, cap, f"a source set of {largest} items")
     items = tuple(sorted(partners))
-    cols, effects, plus = _effects(model, items, tuple(range(n)), largest, partners)
+    cols, effects, plus = _effects(
+        model, items, tuple(range(n)), min(max_order, n - 2) + 1, partners, force=force
+    )
     subsets = list(cols)
     row = {item: r for r, item in enumerate(items)}
     table = RelativeHaloTable(n, max_order)

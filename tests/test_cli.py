@@ -862,6 +862,34 @@ class TestHalo:
     def test_missing_output_usage_error(self, trained_model):
         assert run("halo", "--model-file", str(trained_model)) == 2
 
+    @staticmethod
+    def _untrained(tmp_path, universe):
+        path = tmp_path / f"m{universe}.json"
+        FeaturelessModel.deephalo(universe, width=universe, depth=2, seed=1).save(path)
+        return path
+
+    def test_twelve_items_at_order_one_run_unforced(self, tmp_path):
+        # 1 + 12 + 66 + 220 = 299 subsets, within the budget.
+        out = tmp_path / "alpha.csv"
+        assert run("halo", "--model-file", str(self._untrained(tmp_path, 12)),
+                   "--max-order", "1", "-o", str(out)) == 0
+        assert len(read_halo_csv(out).entries) == 66 * 11  # {} and 10 single sources
+
+    def test_over_the_budget_exits_1_without_table(self, tmp_path, capsys):
+        # Order 12 over 14 items needs every subset of the 14 ids.
+        out = tmp_path / "alpha.csv"
+        assert run("halo", "--model-file", str(self._untrained(tmp_path, 14)),
+                   "--max-order", "12", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "14 ids holds 16384 subsets, above the budget of 8192" in err
+        assert "--force" in err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "alpha.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+    def test_force_help_names_the_budget(self):
+        assert "subset budget" in OPTIONS["halo"]["force"][1]["help"]
+
 
 def test_version_flag_exits_zero():
     assert run("--version") == 0

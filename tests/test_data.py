@@ -951,3 +951,21 @@ class TestSplits:
         ds = dat.Dataset([dat.Observation(cs, 0)], universe=2)
         with pytest.raises(dat.DataFormatError):
             ds.with_splits({"train": [5]})
+
+
+class TestDatasetEquality:
+    def test_feature_blocks_compare_by_their_bits(self):
+        # _store keeps blocks that differ only in the sign of a zero apart,
+        # so == tells them apart too.
+        cs = dat.ChoiceSet((0, 1), 2)
+
+        def dataset(*blocks):
+            return dat.Dataset([dat.Observation(cs, 0, np.array([b])) for b in blocks],
+                               universe=2, feature_dim=1)
+
+        plain = dataset([1.0, 0.0], [1.0, 0.0])
+        signed = dataset([1.0, 0.0], [1.0, -0.0])
+        assert (len(plain.sets), len(signed.sets)) == (1, 2)
+        assert plain != signed
+        assert signed == dataset([1.0, 0.0], [1.0, -0.0])
+        assert plain == dataset([1.0, 0.0], [1.0, 0.0])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -100,10 +101,17 @@ class TestMarginalEffect:
         with pytest.raises(ValueError):
             marginal_effect(m, 1, (1, 2))
 
-    def test_cap_refusal_mentions_cost(self):
-        m = PlantedModel(3, seed=0)
-        with pytest.raises(EnumerationCapError, match="2\\^"):
-            marginal_effect(m, 0, (1, 2), cap=1)
+    def test_cap_refusal_mentions_cost(self, monkeypatch):
+        m = CountingModel(PlantedModel(3, seed=0))
+        monkeypatch.setattr(halo, "SUBSET_BUDGET", 7)
+        with pytest.raises(EnumerationCapError,
+                           match=r"over 3 ids holds 8 subsets, above the budget of 7; "
+                                 r"pass force=True \(--force"):
+            marginal_effect(m, 0, (1, 2))
+        assert m.calls == []
+        assert marginal_effect(m, 0, (1, 2), force=True) == pytest.approx(
+            m.inner.effects[(0, (1, 2))], abs=1e-9
+        )
 
 
 class TestReconstruction:
@@ -136,6 +144,14 @@ class TestReconstruction:
         m = PlantedModel(3, seed=4)
         with pytest.raises(ValueError):
             reconstruct_utility(m, 0, (1, 2))
+
+    def test_repeated_id_rejected(self):
+        m = CountingModel(PlantedModel(3, seed=4))
+        with pytest.raises(ValueError, match=r"duplicate ids in offered set \(0, 1, 1\)"):
+            reconstruct_utility(m, 0, (0, 1, 1))
+        with pytest.raises(ValueError, match="duplicate ids"):
+            marginal_effect(m, 0, (1, 1))
+        assert m.calls == []
 
 
 class TestRelativeHalo:
@@ -211,11 +227,17 @@ class TestTables:
         table = full_context_table(m, max_order=2)
         assert len(table.entries) == 3 * 4  # per item: empty, 2 singles, 1 pair
 
-    def test_universe_guard(self):
-        m = PlantedModel(4, seed=0)
-        with pytest.raises(EnumerationCapError, match="guard"):
-            full_relative_table(m, max_order=2, guard=3)
-        full_relative_table(m, max_order=2, guard=3, force=True)
+    def test_universe_guard(self, monkeypatch):
+        # Order 2 over 4 items: sources of up to 2 ids plus both items of a
+        # pair, so every subset of the 4 ids.
+        m = CountingModel(PlantedModel(4, seed=0))
+        monkeypatch.setattr(halo, "SUBSET_BUDGET", 15)
+        with pytest.raises(EnumerationCapError, match="4 ids holds 16 subsets"):
+            full_relative_table(m, max_order=2)
+        assert m.calls == []
+        assert len(full_relative_table(m, max_order=2, force=True).entries) == 6 * 4
+        monkeypatch.setattr(halo, "SUBSET_BUDGET", 16)
+        assert len(full_relative_table(m, max_order=2).entries) == 6 * 4
 
     def test_pair_filter(self):
         m = PlantedModel(4, seed=12)
@@ -335,10 +357,11 @@ class TestOneInversionPath:
             assert abs(value - expected) <= 1e-9
 
 
-def _reference_effects(model, items, ground, max_size, partners=None):
+def _reference_effects(model, items, ground, max_size, partners=None, force=False):
     """``halo._effects`` with its successor table filled one (subset, member)
     pair at a time and its utilities placed one member at a time: the
-    reference for the array build."""
+    reference for the array build.  It has no subset budget, so it ignores
+    ``force``."""
     ids = tuple(sorted(set(ground) | set(items)))
     subsets = [s for size in range(max_size + 2) for s in itertools.combinations(ids, size)]
     cols = {s: c for c, s in enumerate(subsets) if len(s) <= max_size}
@@ -407,10 +430,10 @@ class TestLatticeOracle:
         m = PlantedModel(10, seed=31)
         effects, calls = halo._effects, []
 
-        def checked(*args):
+        def checked(*args, **kwargs):
             calls.append(args[1:])
-            got = effects(*args)
-            _assert_same_lattice(got, _reference_effects(*args))
+            got = effects(*args, **kwargs)
+            _assert_same_lattice(got, _reference_effects(*args, **kwargs))
             return got
 
         monkeypatch.setattr(halo, "_effects", checked)
@@ -537,10 +560,11 @@ class TestForwardCount:
         # T + {0}, T + {1} and T + {0, 1} for every T inside the source.
         assert len(forwards(relative_halo, 0, 1, src)) == 3 * 2**size
 
-    def test_refusals_run_no_forward(self):
+    def test_refusals_run_no_forward(self, monkeypatch):
         m = CountingModel(PlantedModel(4, seed=25))
-        with pytest.raises(EnumerationCapError, match=r"needs 15 forward passes \(guard is 3"):
-            full_relative_table(m, max_order=2, guard=3)
+        monkeypatch.setattr(halo, "SUBSET_BUDGET", 7)
+        with pytest.raises(EnumerationCapError, match="4 ids holds 16 subsets"):
+            full_relative_table(m, max_order=2)
         with pytest.raises(ValueError, match="max_order"):
             full_relative_table(m, max_order=-1)
         with pytest.raises(ValueError, match="max_order"):
@@ -548,15 +572,29 @@ class TestForwardCount:
         with pytest.raises(ValueError, match="pair"):
             full_relative_table(m, max_order=1, pairs=[(0, 1), (2, 2)])
         with pytest.raises(EnumerationCapError):
-            full_relative_table(m, max_order=2, cap=2)
+            full_relative_table(m, max_order=0, pairs=[(0, 1)])  # 1 + 4 + 6 subsets
         with pytest.raises(EnumerationCapError):
-            full_context_table(m, max_order=3, cap=2)
+            full_context_table(m, max_order=3)
         with pytest.raises(EnumerationCapError):
-            marginal_effect(m, 0, (1, 2, 3), cap=2)
+            marginal_effect(m, 0, (1, 2, 3))
         with pytest.raises(EnumerationCapError):
-            relative_halo(m, 0, 1, (2, 3), cap=2)
+            relative_halo(m, 0, 1, (2, 3))
+        with pytest.raises(EnumerationCapError):
+            reconstruct_utility(m, 0, (0, 1, 2))
         with pytest.raises(ValueError):
             relative_halo(m, 0, 1, (1,))
+        assert m.calls == []
+
+    @pytest.mark.parametrize("universe, max_order", [(200, 12), (40, 5)])
+    def test_large_tables_refused_before_any_build(self, universe, max_order):
+        # C(200, 13) overflows int64, and 40 ids up to size 6 make about
+        # 4.6 million subsets: the budget refuses both before the lattice.
+        m = CountingModel(PairwiseModel(universe, seed=29))
+        start = time.perf_counter()
+        for table in (full_context_table, full_relative_table):
+            with pytest.raises(EnumerationCapError, match=f"over {universe} ids holds"):
+                table(m, max_order)
+        assert time.perf_counter() - start < 0.5
         assert m.calls == []
 
 
