@@ -531,17 +531,17 @@ def scatter_slots(u: Node, seg: Segments) -> Node:
     return Node(value, parents=(u,), vjp=lambda g: (g[seg.slot, seg.owner][None, :],))
 
 
-def layer_norm(a: Node, gain: Node | None = None, bias: Node | None = None) -> Node:
-    """Normalize each column to zero mean / unit variance, then affine.
+def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
+    """Normalize each column to zero mean / unit variance, then ``gain`` and ``bias``.
 
-    A zero-variance column maps to the bias (or zero when no affine is
-    given): the variance floor is ``LAYER_NORM_EPS``.  The statistics are
-    sorted sums down each column, so a column's value and gradient are the
-    same alone and beside other columns.
+    A zero-variance column maps to the bias: the variance floor is
+    ``LAYER_NORM_EPS``.  The statistics are sorted sums down each column,
+    so a column's value and gradient are the same alone and beside other
+    columns.
     """
-    if gain is not None and gain.value.shape != (a.value.shape[0], 1):
+    if gain.value.shape != (a.value.shape[0], 1):
         raise DimensionError("layer_norm gain must be rows x 1")
-    if bias is not None and bias.value.shape != (a.value.shape[0], 1):
+    if bias.value.shape != (a.value.shape[0], 1):
         raise DimensionError("layer_norm bias must be rows x 1")
     m = a.value.shape[0]
     mu = _sorted_sum(a.value) / m
@@ -549,32 +549,18 @@ def layer_norm(a: Node, gain: Node | None = None, bias: Node | None = None) -> N
     var = _sorted_sum(centered * centered) / m
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
-    out = xhat
-    if gain is not None:
-        out = out * gain.value
-    if bias is not None:
-        out = out + bias.value
 
     def vjp(g):
-        gh = g * gain.value if gain is not None else g
+        gh = g * gain.value
         mean_gh = _sorted_sum(gh) / m
         mean_ghx = _sorted_sum(gh * xhat) / m
-        ga = inv * (gh - mean_gh - xhat * mean_ghx) if a.requires_grad else None
-        out_grads = [ga]
-        if gain is not None:
-            ggain = _row_sums(g * xhat) if gain.requires_grad else None
-            out_grads.append(ggain)
-        if bias is not None:
-            gbias = _row_sums(g) if bias.requires_grad else None
-            out_grads.append(gbias)
-        return tuple(out_grads)
+        return (
+            inv * (gh - mean_gh - xhat * mean_ghx) if a.requires_grad else None,
+            _row_sums(g * xhat) if gain.requires_grad else None,
+            _row_sums(g) if bias.requires_grad else None,
+        )
 
-    parents = [a]
-    if gain is not None:
-        parents.append(gain)
-    if bias is not None:
-        parents.append(bias)
-    return Node(out, parents=tuple(parents), vjp=vjp)
+    return Node(xhat * gain.value + bias.value, parents=(a, gain, bias), vjp=vjp)
 
 
 def _softmax_parts(u: Node, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -132,7 +132,6 @@ OPTIONS = {
         "patience": (0, {"type": int}),
         "clip_norm": (0.0, {"type": float}),
         "seed": (0, {"type": int}),
-        "threads": (1, {"type": int, "help": "accepted for compatibility; runs serial"}),
         "out": (None, {}),
         "history": (None, {}),
     },
@@ -142,7 +141,6 @@ OPTIONS = {
         "items": (None, {}),
         "split": (None, {}),
         "truth": (None, {"help": "ground-truth probability table CSV"}),
-        "seed": (0, {"type": int}),
         "out": ("metrics.json", {}),
     },
     "halo": {
@@ -153,7 +151,6 @@ OPTIONS = {
         "svg": (None, {"help": "also render a heatmap SVG"}),
         "force": (False, {"action": "store_const", "const": True,
                           "help": f"lift the subset budget ({hal.SUBSET_BUDGET} lattice subsets)"}),
-        "seed": (0, {"type": int}),
         "out": (None, {}),
     },
 }

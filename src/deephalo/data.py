@@ -30,6 +30,10 @@ NULL_ID = -1
 
 PROB_SUM_TOL = 1e-9
 
+# The most subsets ``gen_synthetic_simplex`` lists: all of them for ``sets=0``,
+# or the pool it draws ``sets`` from.  Above it, draws are rejection-sampled.
+MAX_LISTED_SUBSETS = 200_000
+
 
 class DataFormatError(ValueError):
     """Malformed or inconsistent input data; message carries the location."""
@@ -124,7 +128,6 @@ class Dataset:
         observations: list[Observation],
         universe: int,
         feature_dim: int = 0,
-        splits: dict[str, list[int]] | None = None,
     ):
         shared: dict[ChoiceSet, int] = {}  # equal offered sets share the first one
         set_index, chosen, slot = [], [], []
@@ -143,7 +146,7 @@ class Dataset:
             features = np.zeros((len(observations), feature_dim, width))
             for block, obs in zip(features, observations):
                 block[:, : obs.features.shape[1]] = obs.features
-        self._store(list(shared), set_index, chosen, slot, universe, features, splits)
+        self._store(list(shared), set_index, chosen, slot, universe, features)
 
     @classmethod
     def from_columns(
@@ -154,7 +157,7 @@ class Dataset:
         dataset._store(sets, set_index, chosen, slot, universe, features)
         return dataset
 
-    def _store(self, sets, set_index, chosen, slot, universe, features, splits=None):
+    def _store(self, sets, set_index, chosen, slot, universe, features):
         for cs in sets:
             if max(cs.items) >= universe:
                 raise DataFormatError(
@@ -177,7 +180,7 @@ class Dataset:
         self.features: np.ndarray | None = features
         self.universe = universe
         self.feature_dim = 0 if features is None else features.shape[1]
-        self.splits = splits
+        self.splits: dict[str, list[int]] | None = None
 
     def __len__(self) -> int:
         return self.set_index.size
@@ -230,6 +233,7 @@ class Dataset:
         return np.asarray(self.splits[split], dtype=np.intp)
 
     def with_splits(self, splits: dict[str, list[int]]) -> "Dataset":
+        """A copy with ``splits``, each index checked to be an observation position."""
         n = len(self)
         for name, idx in splits.items():
             bad = [i for i in idx if not 0 <= i < n]
@@ -534,8 +538,9 @@ def gen_synthetic_simplex(
 ) -> tuple[Dataset, dict[tuple[int, ...], np.ndarray]]:
     """Sample per-set choice probabilities uniformly on the simplex.
 
-    ``sets=0`` enumerates every size-``set_size`` subset; otherwise that
-    many distinct subsets are drawn without replacement.  Simplex draws
+    ``sets=0`` enumerates every size-``set_size`` subset, and is refused when
+    there are more than :data:`MAX_LISTED_SUBSETS`; otherwise that many
+    distinct subsets are drawn without replacement.  Simplex draws
     use normalized unit-exponential variates (a flat Dirichlet).
     """
     if set_size > universe:
@@ -545,10 +550,15 @@ def gen_synthetic_simplex(
         raise DataFormatError(
             f"{sets} distinct subsets requested but only {total} exist"
         )
+    if sets == 0 and total > MAX_LISTED_SUBSETS:
+        raise DataFormatError(
+            f"sets=0 would list all {total} subsets of size {set_size} from {universe} ids, "
+            f"more than the {MAX_LISTED_SUBSETS} it may list; draw some with sets > 0"
+        )
     rng = np.random.default_rng(seed)
     if sets == 0:
         chosen_sets = list(combinations(range(universe), set_size))
-    elif total <= 200_000:
+    elif total <= MAX_LISTED_SUBSETS:
         pool = list(combinations(range(universe), set_size))
         idx = rng.choice(total, size=sets, replace=False)
         chosen_sets = [pool[i] for i in sorted(idx)]

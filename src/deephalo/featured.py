@@ -282,12 +282,8 @@ class FeaturedModel(ParameterStore):
         return [self._padded(z, slots[:, 0]) for z in states]
 
     def embed(self, features, mask) -> np.ndarray:
-        """The base embedding z0 alone, ``layer_states(...)[0]``; dummy columns read 0."""
-        features, mask = self._check_inputs(features, mask)
-        if not mask.any():
-            raise ad.DegenerateSetError("an observation has no real slot")
-        nodes = self.make_param_nodes(trainable=False)
-        return self._padded(self.embed_node(nodes, ad.constant(features[:, mask])), mask)
+        """The base embedding z0, ``layer_states(...)[0]``; dummy columns read 0."""
+        return self.layer_states(features, mask)[0]
 
     def forward(self, features, mask) -> UtilityVector:
         u, slots = self.utilities_node(
@@ -325,8 +321,7 @@ class FeaturedModel(ParameterStore):
         mask = choice_set.mask
         return (features.tobytes(), mask.tobytes()), (features, mask), range(mask.size)
 
-    def loss_node(self, nodes, observations, kind: str) -> Node:
-        return training.observations_loss(self, nodes, observations, kind)
+    loss_node = training.observations_loss
 
     def predict(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """(slots x configurations) probabilities and the real-slot mask.

@@ -458,5 +458,4 @@ class FeaturelessModel(ParameterStore):
         ids = tuple(sorted(choice_set.items))
         return ids, ids, choice_set.items
 
-    def loss_node(self, nodes: dict[str, Node], observations, kind: str) -> Node:
-        return training.observations_loss(self, nodes, observations, kind)
+    loss_node = training.observations_loss

@@ -127,9 +127,6 @@ def adam_step(
     state: AdamState,
     t: int,
     lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> None:
     """One bias-corrected adaptive-moment update, in place."""
     for name, arr in trainables:
@@ -138,13 +135,13 @@ def adam_step(
             raise TrainingDivergedError(f"non-finite gradient in group '{name}'")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:

@@ -132,7 +132,8 @@ class TestSimpleOps:
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_layer_norm_constant_column_is_zero(self):
-        out = ad.layer_norm(ad.constant([[5.0], [5.0], [5.0]]))
+        one, zero = ad.constant(np.ones((3, 1))), ad.constant(np.zeros((3, 1)))
+        out = ad.layer_norm(ad.constant([[5.0], [5.0], [5.0]]), one, zero)
         np.testing.assert_array_equal(out.value, np.zeros((3, 1)))
 
     def test_layer_norm_affine_bias_on_constant(self):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +79,20 @@ class TestGen:
                    "--n-per-set", "2", "-o", str(out))
         assert code == 2
         assert "--sets must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "syn.csv.truth.csv").exists()
+
+    def test_sets_zero_past_the_listing_bound_exits_1(self, tmp_path, capsys):
+        # C(40, 20) is about 1.4e11 subsets: refused before any is listed.
+        out = tmp_path / "syn.csv"
+        start = time.perf_counter()
+        code = run("gen", "--universe", "40", "--set-size", "20", "--sets", "0",
+                   "-o", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"all {math.comb(40, 20)} subsets" in err
+        assert str(dat.MAX_LISTED_SUBSETS) in err
         assert not out.exists()
         assert not (tmp_path / "syn.csv.truth.csv").exists()
 
@@ -889,6 +905,34 @@ class TestHalo:
 
     def test_force_help_names_the_budget(self):
         assert "subset budget" in OPTIONS["halo"]["force"][1]["help"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--threads"), ("eval", "--seed"), ("halo", "--seed"),
+])
+def test_removed_flag_is_usage_error(capsys, command, flag):
+    assert run(command, flag, "1") == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("train", "threads"), ("eval", "seed"), ("halo", "seed")])
+def test_removed_option_is_unknown_config_key(tmp_path, capsys, command, key):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: 1}))
+    assert run(command, "--config", str(conf)) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "halo"])
+def test_deterministic_command_manifest_has_null_seed(
+    tmp_path, beverage_csv, trained_model, command
+):
+    out = tmp_path / "out"
+    given = {"eval": ["--data", str(beverage_csv)], "halo": ["--max-order", "1"]}[command]
+    assert run(command, "--model-file", str(trained_model), *given, "-o", str(out)) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert list(manifest["config"]) == list(OPTIONS[command])
+    assert manifest["seed"] is None and manifest["status"] == "ok"
 
 
 def test_version_flag_exits_zero():

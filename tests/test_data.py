@@ -819,6 +819,14 @@ class TestSimplexGenerator:
         with pytest.raises(dat.DataFormatError):
             dat.gen_synthetic_simplex(4, 2, 7, 1, seed=0)
 
+    def test_enumeration_past_the_listing_bound_refused(self, monkeypatch):
+        monkeypatch.setattr(dat, "MAX_LISTED_SUBSETS", 19)
+        with pytest.raises(dat.DataFormatError, match="all 20 subsets .* than the 19 "):
+            dat.gen_synthetic_simplex(6, 3, 0, 1, seed=0)
+        monkeypatch.setattr(dat, "MAX_LISTED_SUBSETS", 20)
+        _, table = dat.gen_synthetic_simplex(6, 3, 0, 1, seed=0)
+        assert len(table) == 20
+
     def test_paper_scale_config_expressible(self):
         # 20 items, sets of 15: the exhaustive count is C(20,15); a sampled
         # handful must draw distinct subsets of the right size.
@@ -828,9 +836,9 @@ class TestSimplexGenerator:
         assert all(len(ids) == 15 for ids in table)
 
     def test_rejection_sampling_past_the_enumeration_limit(self):
-        # C(30, 10) is above the 200,000 subsets that get enumerated, so the
+        # C(30, 10) is more than the subsets gen lists, so the
         # subsets are drawn one at a time and duplicates rejected.
-        assert math.comb(30, 10) > 200_000
+        assert math.comb(30, 10) > dat.MAX_LISTED_SUBSETS
         ds, table = dat.gen_synthetic_simplex(30, 10, 3, 2, seed=1)
         assert len(table) == 3
         assert list(table) == sorted(table)
