@@ -20,6 +20,11 @@ That is what turns the model-level permutation and relabeling guarantees
 into literal equalities instead of "equal up to reassociation".  It is
 not exactly rounded: it carries the rounding error of an ordinary
 left-to-right sum, at most about k * eps * sum(|x|) over k summands.
+The sorted summands are added by ``np.add.accumulate``, or, where each
+row of the summed axis ends in ``ROW_LOOP_LENGTH`` or more entries that
+are adjacent in memory, one row at a time: the same additions in the same
+order, so the same bits.  The input's shape and layout pick the faster of
+the two.
 
 :func:`weight_matmul` is the featured model's weight-times-state product.
 Its value and its state adjoint contract over hidden units, which no
@@ -61,6 +66,12 @@ import numpy as np
 
 LAYER_NORM_EPS = 1e-5
 
+# Adjacent summands per row from which _sorted_sum adds its sorted rows one
+# row at a time: one vectorised add per row beats np.add.accumulate once each
+# row's trailing run of adjacent entries is this long.  Where the summed
+# axis is the adjacent one, as in the weight gradients, accumulate wins.
+ROW_LOOP_LENGTH = 128
+
 # Largest (k, m, n) product tensor, in elements, that exact_matmul builds
 # at once; wider products are taken a block of output columns at a time.
 MATMUL_BUDGET = 1 << 21
@@ -89,14 +100,33 @@ def _sorted_sum(x: np.ndarray) -> np.ndarray:
     """Sum over axis 0: sort the summands ascending, add left to right.
 
     ``np.add.reduce`` is not used because it sums pairwise when a single
-    output remains; ``accumulate`` is sequential for every shape.  A zero
-    total is returned as +0.0: the vectorised sort may hand back either
-    zero of an equal -0.0/+0.0 pair, so the sign of a zero total would
-    otherwise depend on the order of the summands.
+    output remains; ``accumulate`` is sequential for every shape.  Rows
+    that end in ``ROW_LOOP_LENGTH`` or more adjacent entries are added into
+    the first row one row at a time instead: the same additions in the same
+    order, so the same bits, with less overhead per summand.  A zero total
+    is returned as +0.0: the vectorised sort may hand back either zero of
+    an equal -0.0/+0.0 pair, so the sign of a zero total would otherwise
+    depend on the order of the summands.
     """
     s = np.sort(x, axis=0)
-    np.add.accumulate(s, axis=0, out=s)
-    return s[-1] + 0.0
+    if s.size < ROW_LOOP_LENGTH * len(s) or _adjacent_run(s) < ROW_LOOP_LENGTH:
+        np.add.accumulate(s, axis=0, out=s)
+        return s[-1] + 0.0
+    total = s[0]
+    for row in s[1:]:
+        total += row
+    return total + 0.0
+
+
+def _adjacent_run(s: np.ndarray) -> int:
+    """Entries at the end of each row of ``s`` (a slice along axis 0) that
+    lie next to each other in memory; 1 for a vector."""
+    run = 1
+    for size, stride in zip(s.shape[:0:-1], s.strides[:0:-1]):
+        if stride != run * s.itemsize:
+            break
+        run *= size
+    return run
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

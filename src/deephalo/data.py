@@ -32,6 +32,7 @@ PROB_SUM_TOL = 1e-9
 
 # The most subsets ``gen_synthetic_simplex`` lists: all of them for ``sets=0``,
 # or the pool it draws ``sets`` from.  Above it, draws are rejection-sampled.
+# It also bounds a positive ``sets``, so the rejection draws stay few.
 MAX_LISTED_SUBSETS = 200_000
 
 
@@ -540,7 +541,8 @@ def gen_synthetic_simplex(
 
     ``sets=0`` enumerates every size-``set_size`` subset, and is refused when
     there are more than :data:`MAX_LISTED_SUBSETS`; otherwise that many
-    distinct subsets are drawn without replacement.  Simplex draws
+    distinct subsets are drawn without replacement, and more than
+    :data:`MAX_LISTED_SUBSETS` of them are refused.  Simplex draws
     use normalized unit-exponential variates (a flat Dirichlet).
     """
     if set_size > universe:
@@ -549,6 +551,10 @@ def gen_synthetic_simplex(
     if sets > total:
         raise DataFormatError(
             f"{sets} distinct subsets requested but only {total} exist"
+        )
+    if sets > MAX_LISTED_SUBSETS:
+        raise DataFormatError(
+            f"{sets} subsets requested, more than the {MAX_LISTED_SUBSETS} it may draw"
         )
     if sets == 0 and total > MAX_LISTED_SUBSETS:
         raise DataFormatError(

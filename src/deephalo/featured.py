@@ -58,9 +58,11 @@ from .featureless import (
     SIZE,
     ParameterStore,
     UtilityVector,
-    check_ids,
+    check_sets,
     choice_probabilities,
     column_probabilities,
+    set_ids,
+    split_sets,
 )
 
 # Configurations per forward-only tape in ``predict``, and offered sets per
@@ -376,10 +378,13 @@ class CatalogSetModel:
         that offers it.  Each block of ``PREDICT_BLOCK`` sets gathers its
         items' columns into forward-only nodes and runs only the set stage.
         """
-        sets = [check_ids(ids, self.universe) for ids in sets]
+        sets = list(map(tuple, sets))
+        offered = check_sets(sets, self.universe).any(axis=1)
         if not sets:
             return []
-        items = sorted({i for ids in sets for i in ids})
+        ids, sizes = set_ids(sets)
+        sets = split_sets(ids, sizes)  # each set's ids as ints
+        items = np.flatnonzero(offered).tolist()
         column = dict(zip(items, range(len(items))))
         model = self.model
         nodes = model.make_param_nodes(trainable=False)

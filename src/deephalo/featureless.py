@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -92,6 +93,42 @@ def check_ids(ids, universe: int) -> tuple[int, ...]:
         if not 0 <= i < universe:
             raise ValueError(f"id {i} outside universe of size {universe}")
     return ids
+
+
+def set_ids(sets) -> tuple[list[int], list[int]]:
+    """Every set's ids end to end, each by ``int()``, and each set's size."""
+    return list(map(int, chain.from_iterable(sets))), list(map(len, sets))
+
+
+def check_sets(sets, universe: int) -> np.ndarray:
+    """The (universe x sets) membership mask of a list of offered sets.
+
+    Checks all sets at once for what :func:`check_ids` checks of one, with
+    the same ``int()`` conversion: no set is empty, every id is in
+    ``[0, universe)``, and no set repeats an id (each (id, set) cell of the
+    mask is set once).  When any check fails, the first set that fails
+    raises its :func:`check_ids` error.
+    """
+    mask = np.zeros((universe, len(sets)), dtype=bool)
+    try:
+        ids, sizes = set_ids(list(map(tuple, sets)))
+        valid = 0 not in sizes and (not ids or 0 <= min(ids) <= max(ids) < universe)
+    except (TypeError, ValueError):  # a set that is no sequence, or an id int() refuses
+        valid = False
+    if valid:
+        mask[ids, np.arange(len(sets)).repeat(sizes)] = True
+        if np.count_nonzero(mask) == len(ids):
+            return mask
+    for one in sets:
+        check_ids(one, universe)  # raises for the first bad set
+    raise AssertionError("a set failed the bulk check but passed check_ids")
+
+
+def split_sets(values, sizes: list[int]) -> list:
+    """``values`` (a list or an array) cut into consecutive pieces of
+    ``sizes``, one per set."""
+    ends = list(accumulate(sizes))
+    return list(map(values.__getitem__, map(slice, [0, *ends[:-1]], ends)))
 
 
 # Header value types of a model file.  ``bool`` is a subclass of ``int``,
@@ -391,9 +428,7 @@ class FeaturelessModel(ParameterStore):
         contraction reads one column, so column ``g`` equals the forward of
         ``sets[g]`` alone.
         """
-        mask = np.zeros((self.universe, len(sets)), dtype=bool)
-        for g, ids in enumerate(sets):
-            mask[list(check_ids(ids, self.universe)), g] = True
+        mask = check_sets(sets, self.universe)
         member = mask.astype(float)
         lift = np.zeros((self.width, len(sets)))
         lift[: self.universe] = member
@@ -437,9 +472,14 @@ class FeaturelessModel(ParameterStore):
 
     def batch_set_utilities(self, sets) -> list[np.ndarray]:
         """:meth:`set_utilities` of each set, all sets as columns of one tape."""
-        sets = [tuple(ids) for ids in sets]  # utilities_node checks each one
-        u, _ = self.utilities_node(self.make_param_nodes(trainable=False), sets)
-        return [u.value[[int(i) for i in ids], g] for g, ids in enumerate(sets)]
+        sets = list(map(tuple, sets))
+        u, _ = self.utilities_node(self.make_param_nodes(trainable=False), sets)  # checks them
+        ids, sizes = set_ids(sets)
+        values = u.value[ids, np.arange(len(sizes)).repeat(sizes)]
+        # Each set gets its own array, as a gather per set would give: a view
+        # would keep the batch's array alive, and a caller that keeps many
+        # of them reads each through an extra object.
+        return list(map(np.ndarray.copy, split_sets(values, sizes)))
 
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))

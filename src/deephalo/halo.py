@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Protocol
 
 import numpy as np
@@ -219,9 +219,13 @@ def _effects(
 
 
 def _alphas(effects, plus, row_j, row_k, t) -> np.ndarray:
-    """alpha(j, k, T) for each column T in ``t``, from the rows of j and k."""
-    e_j, e_k = effects[row_j], effects[row_k]
-    return (e_j[t] + e_j[plus[row_k, t]]) - (e_k[t] + e_k[plus[row_j, t]])
+    """alpha(j, k, T) for each column T in ``t``, from the rows of j and k.
+
+    ``row_j`` and ``row_k`` are rows, or arrays of rows aligned with ``t``.
+    """
+    return (effects[row_j, t] + effects[row_j, plus[row_k, t]]) - (
+        effects[row_k, t] + effects[row_k, plus[row_j, t]]
+    )
 
 
 def marginal_effect(model: SetUtilityModel, item: int, source, force: bool = False) -> float:
@@ -359,13 +363,18 @@ def full_relative_table(
         model, items, tuple(range(n)), min(max_order, n - 2) + 1, partners, force=force
     )
     subsets = list(cols)
-    row = {item: r for r, item in enumerate(items)}
+    rows = np.searchsorted(items, np.array(pairs).reshape(-1, 2))
+    # Each pair's sources, pair by pair: the columns where both S + {j} and
+    # S + {k} are in the lattice.
+    lands = plus >= 0
+    p, t = np.nonzero(lands[rows[:, 0]] & lands[rows[:, 1]])
+    alphas = _alphas(effects, plus, rows[p, 0], rows[p, 1], t)
+    each = np.bincount(p, minlength=len(pairs)).tolist()
+    js = chain.from_iterable(map(repeat, (j for j, _ in pairs), each))
+    ks = chain.from_iterable(map(repeat, (k for _, k in pairs), each))
+    keys = zip(js, ks, map(subsets.__getitem__, t.tolist()))
     table = RelativeHaloTable(n, max_order)
-    for j, k in pairs:
-        # A pair's sources: the columns where both S + {j} and S + {k} are in the lattice.
-        t = np.flatnonzero((plus[row[j]] >= 0) & (plus[row[k]] >= 0))
-        alphas = _alphas(effects, plus, row[j], row[k], t)
-        table.entries.update(zip(((j, k, subsets[c]) for c in t.tolist()), alphas.tolist()))
+    table.entries.update(zip(keys, alphas.tolist()))
     return table
 
 

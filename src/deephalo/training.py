@@ -6,6 +6,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -353,7 +354,12 @@ def _metrics(model, groups: Groups) -> Metrics:
     probs, mask = model.predict(groups.configs)
     table = _padded(groups.counts(), mask.shape[0])
     cells = np.nonzero(table)
-    nll_terms = [nll_loss(probs[:, g], int(row)) for g, row in zip(*cells)]
+    p = probs.T[cells]
+    zero = p <= 0.0
+    if zero.any():  # nll_loss's error, for the first such cell
+        first = int(np.argmax(zero))
+        nll_loss(probs[:, cells[0][first]], int(cells[1][first]))
+    nll_terms = -np.array(list(map(math.log, p.tolist())))
     hits = table[np.arange(table.shape[0]), np.argmax(probs, axis=0)].sum()
     diff = (probs - table.T / table.sum(axis=1))[mask]
     n = len(groups)
@@ -384,13 +390,15 @@ def rmse_vs_frequencies(model, table) -> float:
         )
     if not table:
         raise ValueError("empty frequency table")
-    sets = [tuple(ids) for ids in table]
+    sets = list(map(tuple, table))
     probs, mask = model.predict(sets)
-    sq_err = []
-    for g, (ids, freq) in enumerate(zip(sets, table.values())):
-        diff = probs[list(ids), g] - np.asarray(freq, dtype=float)
-        sq_err.extend((diff * diff).tolist())
-    return math.sqrt(math.fsum(sq_err) / int(mask.sum()))
+    sizes = list(map(len, sets))
+    if list(map(len, table.values())) != sizes:
+        bad = next(s for s, freq in table.items() if len(freq) != len(s))
+        raise ValueError(f"frequencies of set {bad} have {len(table[bad])} entries, expected {len(bad)}")
+    freqs = np.concatenate(list(table.values()), dtype=float)
+    diff = probs[list(chain.from_iterable(sets)), np.arange(len(sets)).repeat(sizes)] - freqs
+    return math.sqrt(math.fsum((diff * diff).tolist()) / int(mask.sum()))
 
 
 def write_history_csv(history: History, path) -> None:

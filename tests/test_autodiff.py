@@ -525,15 +525,63 @@ def special_operands(rng, m=6, k=9, n=5):
     return a, b
 
 
+# C-ordered shapes whose rows are shorter than ad.ROW_LOOP_LENGTH
+# (np.add.accumulate) and at least as long (one add per row).
+ACCUMULATE_SHAPES = [(40,), (40, 1), (40, 2), (9, 4, 3), (1,), (1, 3), (3, 40), (2, 5, 20)]
+ROW_LOOP_SHAPES = [(2, 256), (3, 300), (2, 16, 20), (10, 10, 163), (1, 10, 30)]
+# Layouts of the tape's product tensors: a weight gradient's (columns, m, n)
+# products lie with the summed axis adjacent (accumulate), a forward's
+# (k, m, sets) products with each row's sets adjacent (one add per row).
+STRIDED = {"summed axis adjacent": ((16, 16, 85), (2, 0, 1)),
+           "last axis adjacent": ((10, 10, 162), (1, 0, 2))}
+
+
 class TestSortedSum:
-    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 2), (9, 4, 3), (1,), (1, 3)])
+    @pytest.mark.parametrize("shape", ACCUMULATE_SHAPES + ROW_LOOP_SHAPES)
     def test_equals_left_to_right_loop_over_sorted_values(self, shape):
         # np.add.reduce sums pairwise when one output remains, (40,) and
         # (40, 1) here, so the one-output shapes are the ones to watch.
         rng = np.random.default_rng(11)
-        for _ in range(100):
+        for _ in range(100 if np.prod(shape) < 1000 else 10):
             x = wide_range(rng, shape)
             np.testing.assert_array_equal(ad._sorted_sum(x), sequential_sorted_sum(x))
+
+    def test_shapes_take_the_path_named(self):
+        run = lambda x: ad._adjacent_run(np.sort(x, axis=0))
+        for shape in ACCUMULATE_SHAPES:
+            assert run(np.zeros(shape)) < ad.ROW_LOOP_LENGTH
+        for shape in ROW_LOOP_SHAPES:
+            assert run(np.zeros(shape)) >= ad.ROW_LOOP_LENGTH
+        shape, axes = STRIDED["summed axis adjacent"]
+        assert run(np.zeros(shape).transpose(axes)) == 1
+        shape, axes = STRIDED["last axis adjacent"]
+        assert run(np.zeros(shape).transpose(axes)) == 162 >= ad.ROW_LOOP_LENGTH
+
+    @pytest.mark.parametrize("layout", sorted(STRIDED))
+    def test_strided_layouts_equal_left_to_right_loop(self, layout):
+        shape, axes = STRIDED[layout]
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            x = wide_range(rng, shape).transpose(axes)
+            np.testing.assert_array_equal(ad._sorted_sum(x), sequential_sorted_sum(x))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_both_paths_equal_with_special_values(self, monkeypatch, n):
+        # Signed zeros, infinities and NaN give the same bits on either path.
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            a, b = special_operands(rng, n=n)
+            products = a.T[:, :, None] * b[:, None, :]
+            x = wide_range(rng, (7, 300))
+            x[:, :4] = [[0.0, -0.0, np.inf, np.nan]] * 7
+            x[3:, 4] = -0.0
+            paths = []
+            for length in (1, 10**9):  # every row loops; no row loops
+                monkeypatch.setattr(ad, "ROW_LOOP_LENGTH", length)
+                paths.append([ad._sorted_sum(products), ad._sorted_sum(x), ad.exact_matmul(a, b)])
+            for got, want in zip(*paths):
+                assert_same_values(got, want)
 
     @pytest.mark.parametrize("m,k,n", [(1, 40, 1), (5, 17, 1), (6, 12, 4)])
     def test_matmul_equals_loop_over_sorted_products(self, m, k, n):

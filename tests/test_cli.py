@@ -96,6 +96,22 @@ class TestGen:
         assert not out.exists()
         assert not (tmp_path / "syn.csv.truth.csv").exists()
 
+    def test_sets_past_the_listing_bound_exits_1(self, tmp_path, capsys):
+        # C(40, 20) subsets exist, but drawing more than the bound is refused
+        # before any draw or write.
+        out = tmp_path / "syn.csv"
+        sets = dat.MAX_LISTED_SUBSETS + 1
+        start = time.perf_counter()
+        code = run("gen", "--universe", "40", "--set-size", "20", "--sets", str(sets),
+                   "-o", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{sets} subsets requested" in err
+        assert f"the {dat.MAX_LISTED_SUBSETS} it may draw" in err
+        assert not out.exists()
+        assert not (tmp_path / "syn.csv.truth.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def beverage_csv(tmp_path_factory):

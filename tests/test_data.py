@@ -827,6 +827,15 @@ class TestSimplexGenerator:
         _, table = dat.gen_synthetic_simplex(6, 3, 0, 1, seed=0)
         assert len(table) == 20
 
+    def test_draws_past_the_listing_bound_refused(self, monkeypatch):
+        # C(16, 8) = 12,870 subsets, above the bound: a positive count is
+        # rejection-sampled, and a count above the bound is refused.
+        monkeypatch.setattr(dat, "MAX_LISTED_SUBSETS", 1000)
+        with pytest.raises(dat.DataFormatError, match="^1001 subsets requested, more than the 1000 "):
+            dat.gen_synthetic_simplex(16, 8, 1001, 1, seed=0)
+        _, table = dat.gen_synthetic_simplex(16, 8, 1000, 1, seed=0)
+        assert len(table) == 1000
+
     def test_paper_scale_config_expressible(self):
         # 20 items, sets of 15: the exhaustive count is C(20,15); a sampled
         # handful must draw distinct subsets of the right size.

@@ -10,6 +10,7 @@ import pytest
 from deephalo import data as dat
 from deephalo import featureless as fl
 from deephalo import halo
+from deephalo.autodiff import DegenerateSetError
 from deephalo.featured import PREDICT_BLOCK, CatalogSetModel, FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import (
@@ -639,6 +640,12 @@ def _assert_batched_equals_per_set(m):
     assert reconstruct_utility(m, 1, range(n)) == reconstruct_utility(one, 1, range(n))
 
 
+BOTH_MODELS = pytest.mark.parametrize("make", [
+    pytest.param(lambda: _featureless("quadratic", "dense", None), id="featureless"),
+    pytest.param(lambda: _catalog("heads", "mean"), id="catalog"),
+])
+
+
 class TestBatchedForwards:
     """A model's ``batch_set_utilities`` gives the per-set path's tables bit for bit."""
 
@@ -686,20 +693,39 @@ class TestBatchedForwards:
     def test_featureless_checks_each_set_once(self, monkeypatch):
         m = _featureless("quadratic", "dense", None)
         checked = []
-        check = fl.check_ids
-        monkeypatch.setattr(fl, "check_ids", lambda ids, n: checked.append(ids) or check(ids, n))
+        check = fl.check_sets
+        monkeypatch.setattr(fl, "check_sets", lambda sets, n: checked.extend(sets) or check(sets, n))
         table = full_relative_table(m, max_order=3)
         assert len(checked) == len(set(checked)) == 2 ** m.universe - 1
-        monkeypatch.setattr(fl, "check_ids", check)
+        monkeypatch.setattr(fl, "check_sets", check)
         assert full_relative_table(m, max_order=3) == table
-        # Bad ids fail as before, and ids of any integer type are accepted.
-        for bad, message in [((0, 0), "duplicate ids"), ((0, 9), "outside universe"),
-                             ((), "empty choice set")]:
+
+    @BOTH_MODELS
+    def test_bad_ids_rejected(self, make):
+        m = make()
+        # Bad ids fail with check_ids' messages, and ids of any integer type are accepted.
+        for bad, message in [((0, 0), r"duplicate ids in \(0, 0\)"),
+                             ((0, 9), f"id 9 outside universe of size {m.universe}"),
+                             ((-1, 0), f"id -1 outside universe of size {m.universe}"),
+                             ((), "empty choice set"), (("x",), "invalid literal for int")]:
             with pytest.raises(ValueError, match=message):
                 m.batch_set_utilities([(0, 1), bad])
         np.testing.assert_array_equal(
             m.batch_set_utilities([np.array([2, 0]), (2.0, 0.0)])[1], m.set_utilities((2, 0))
         )
+
+    @BOTH_MODELS
+    def test_first_bad_set_mid_batch_is_named(self, make):
+        m = make()
+        good = [(0, 1), (2,), (1, 3, 4)]
+        with pytest.raises(ValueError, match=r"duplicate ids in \(3, 1, 3\)"):
+            m.batch_set_utilities(good + [(3, 1, 3), (0, 9), ()] + good)
+        with pytest.raises(ValueError, match=f"id 9 outside universe of size {m.universe}"):
+            m.batch_set_utilities(good + [(4, 9), (3, 1, 3), ("x",)] + good)
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            m.batch_set_utilities(good + [(4, "x"), (0, 9), (3, 3)] + good)
+        with pytest.raises(DegenerateSetError, match="empty choice set"):
+            m.batch_set_utilities(good + [(), (3, 3)] + good)
 
     def test_misshapen_utilities_rejected(self):
         class Short:

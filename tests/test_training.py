@@ -221,6 +221,29 @@ class TestEvaluate:
         table = {(0, 1): np.array([1.0, 0.0])}
         assert rmse_vs_frequencies(m, table) == pytest.approx(0.5)
 
+    def test_frequency_vector_must_match_its_set(self):
+        m = FeaturelessModel.mnl(3, seed=0)
+        table = {(0, 1): np.array([0.5, 0.5]), (0, 1, 2): np.array([0.5, 0.5])}
+        with pytest.raises(ValueError, match=r"set \(0, 1, 2\) have 2 entries, expected 3"):
+            rmse_vs_frequencies(m, table)
+
+    def test_first_zero_probability_cell_is_named(self):
+        # MNL utilities 0, 1600 and 800: exp(-800) underflows to 0, so
+        # choosing item 0 from (0, 2) and item 2 from (1, 2) are both cells
+        # at probability 0; the first in (group, row) order is reported.
+        m = FeaturelessModel.mnl(3, seed=0)
+        m.readout[:, 0] = [0.0, 1600.0, 800.0]
+        obs = [((0, 1), 1), ((0, 2), 2), ((0, 2), 0), ((1, 2), 2)]
+        ds = dat.Dataset([dat.Observation(dat.ChoiceSet(ids, 2), c) for ids, c in obs], universe=3)
+        with pytest.raises(ValueError, match="^chosen slot 0 has probability 0; data and model disagree$"):
+            evaluate(m, ds)
+        ds = dat.Dataset([dat.Observation(dat.ChoiceSet(ids, 2), c) for ids, c in obs[3:]], universe=3)
+        with pytest.raises(ValueError, match="^chosen slot 2 has probability 0"):
+            evaluate(m, ds)
+        assert evaluate(m, dat.Dataset(
+            [dat.Observation(dat.ChoiceSet(ids, 2), c) for ids, c in obs[:2]], universe=3
+        )).nll == 0.0
+
     def test_featured_model_has_no_set_frequencies(self):
         m = FeaturedModel(1, 4, 1, 1, seed=0)
         with pytest.raises(ValueError, match="depend on each observation's features"):
