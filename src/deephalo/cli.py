@@ -226,6 +226,31 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _flag(name: str) -> str:
+    return "-o/--out" if name == "out" else "--" + name.replace("_", "-")
+
+
+def _check_paths(args, conf: dict, outputs: list[str], inputs: list[str]) -> None:
+    """Refuse two outputs, or an output and an input, that resolve to one file.
+
+    ``outputs`` and ``inputs`` name path options of ``conf``; unset ones
+    are skipped.  The run manifest beside the first output counts as an
+    output, and the ``--config`` file as an input.
+    """
+    named = [(_flag(name), conf[name]) for name in outputs]
+    named.append((f"the run manifest of {named[0][0]}", f"{named[0][1]}.manifest.json"))
+    count = len(named)
+    named += [(_flag(name), conf[name]) for name in inputs] + [("--config", args.config)]
+    seen: dict[str, str] = {}
+    for index, (flag, path) in enumerate(named):
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
+            if index < count:
+                seen[real] = flag
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -235,6 +260,7 @@ def _cmd_gen(args) -> int:
     conf = _merge_config(args)
     if not conf["out"]:
         raise UsageError("gen requires -o/--out")
+    _check_paths(args, conf, ["out", "truth_out"], [])
     with Manifest("gen", conf, []) as manifest:
         manifest.add_output(conf["out"])
         if conf["n_per_set"] < 1:
@@ -244,8 +270,8 @@ def _cmd_gen(args) -> int:
                 f"--sets must be non-negative (0 enumerates every subset), got {conf['sets']}"
             )
         if conf["fixture"]:
-            if conf["universe"] or conf["set_size"]:
-                raise UsageError("--fixture conflicts with --universe/--set-size")
+            if conf["universe"] or conf["set_size"] or conf["sets"]:
+                raise UsageError("--fixture conflicts with --universe/--set-size/--sets")
             table = dat.beverage_fixture()
             dataset = dat.sample_choices(table, conf["n_per_set"], conf["seed"])
         else:
@@ -381,6 +407,7 @@ def _cmd_train(args) -> int:
             raise UsageError(f"train requires --{required.replace('_', '-')}")
     if conf["model"] != "deephalo-feat" and conf["items"]:
         raise UsageError("--items is only meaningful for deephalo-feat")
+    _check_paths(args, conf, ["out", "history"], ["data", "items", "split"])
     with Manifest("train", conf, [conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
         rank = _parse_rank(conf["rank"])
@@ -430,6 +457,7 @@ def _cmd_eval(args) -> int:
     for required in ("model_file", "data"):
         if not conf[required]:
             raise UsageError(f"eval requires --{required.replace('_', '-')}")
+    _check_paths(args, conf, ["out"], ["model_file", "data", "items", "split", "truth"])
     with Manifest("eval", conf, [conf["model_file"], conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
         model = _load_model(conf["model_file"])
@@ -493,6 +521,7 @@ def _cmd_halo(args) -> int:
     if conf["render_only"]:
         if not conf["svg"]:
             raise UsageError("--render-only needs --svg for its output")
+        _check_paths(args, conf, ["svg"], ["render_only"])
         with Manifest("halo", conf, [conf["render_only"]]) as manifest:
             manifest.add_output(conf["svg"])
             table = hal.read_halo_csv(conf["render_only"])
@@ -502,6 +531,7 @@ def _cmd_halo(args) -> int:
     for required in ("model_file", "out"):
         if not conf[required]:
             raise UsageError(f"halo requires --{required.replace('_', '-')}")
+    _check_paths(args, conf, ["out", "svg"], ["model_file"])
     with Manifest("halo", conf, [conf["model_file"]]) as manifest:
         manifest.add_output(conf["out"])
         if conf["max_order"] < 0:

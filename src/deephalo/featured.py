@@ -47,6 +47,8 @@ context vector itself back to every alternative.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from . import autodiff as ad
@@ -62,7 +64,6 @@ from .featureless import (
     choice_probabilities,
     column_probabilities,
     set_ids,
-    split_sets,
 )
 
 # Configurations per forward-only tape in ``predict``, and offered sets per
@@ -367,11 +368,12 @@ class CatalogSetModel:
 
     def set_utilities(self, ids) -> np.ndarray:
         """Utilities aligned with ``ids`` order (halo-extraction hook)."""
-        return self.batch_set_utilities([ids])[0]
+        return self.batch_set_utilities([ids])
 
-    def batch_set_utilities(self, sets) -> list[np.ndarray]:
-        """Utilities of each set, aligned with its ids; each equals the
-        :meth:`FeaturedModel.forward` of the set's item columns bit for bit.
+    def batch_set_utilities(self, sets) -> np.ndarray:
+        """Utilities of every set end to end, each set's aligned with its ids
+        and equal to the :meth:`FeaturedModel.forward` of its item columns
+        bit for bit.
 
         The column stage runs once per call, over the items the sets offer:
         an item's embedding and modulators are the same columns in every set
@@ -381,20 +383,21 @@ class CatalogSetModel:
         sets = list(map(tuple, sets))
         offered = check_sets(sets, self.universe).any(axis=1)
         if not sets:
-            return []
+            return np.zeros(0)
         ids, sizes = set_ids(sets)
-        sets = split_sets(ids, sizes)  # each set's ids as ints
-        items = np.flatnonzero(offered).tolist()
-        column = dict(zip(items, range(len(items))))
+        items = np.flatnonzero(offered)
+        cols = np.searchsorted(items, ids)  # each id's column among the offered items
+        starts = [0, *accumulate(sizes)]
         model = self.model
         nodes = model.make_param_nodes(trainable=False)
         base, modulators = model.column_stage(nodes, ad.constant(self.item_features[:, items]))
 
-        def run(chunk):
-            seg = ad.Segments([np.ones(len(ids), dtype=bool) for ids in chunk])
-            cols = [column[i] for ids in chunk for i in ids]
-            gathered = [[ad.Node(m.value[:, cols]) for m in heads] for heads in modulators]
-            return model.set_stage(nodes, ad.Node(base.value[:, cols]), gathered, seg)
+        def run(chunk):  # a range of sets
+            lo, hi = chunk.start, chunk.stop
+            seg = ad.Segments([np.ones(size, dtype=bool) for size in sizes[lo:hi]])
+            block = cols[starts[lo] : starts[hi]]
+            gathered = [[ad.Node(m.value[:, block]) for m in heads] for heads in modulators]
+            return model.set_stage(nodes, ad.Node(base.value[:, block]), gathered, seg)
 
-        values, _ = model._blocked_utilities(sets, max(map(len, sets)), run)
-        return [values[: len(ids), g] for g, ids in enumerate(sets)]
+        values, real = model._blocked_utilities(range(len(sets)), max(sizes), run)
+        return values.T[real.T]

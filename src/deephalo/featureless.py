@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -124,13 +124,6 @@ def check_sets(sets, universe: int) -> np.ndarray:
     raise AssertionError("a set failed the bulk check but passed check_ids")
 
 
-def split_sets(values, sizes: list[int]) -> list:
-    """``values`` (a list or an array) cut into consecutive pieces of
-    ``sizes``, one per set."""
-    ends = list(accumulate(sizes))
-    return list(map(values.__getitem__, map(slice, [0, *ends[:-1]], ends)))
-
-
 # Header value types of a model file.  ``bool`` is a subclass of ``int``,
 # so a size is checked to be no boolean as well.
 SIZE, NAME, FLAG, NULL = (int,), (str,), (bool,), (type(None),)
@@ -147,10 +140,11 @@ def check_object(payload, what: str = "model file") -> None:
 
 
 def check_header(payload, kind: str, header: dict, groups: str) -> None:
-    """Raise naming the first header key that a model file lacks or mistypes.
+    """Raise naming the first key that a model file lacks, does not know or mistypes.
 
-    The payload must be a JSON object of ``kind`` and ``FORMAT_VERSION``.
-    ``header`` is a model's ``HEADER`` table: key -> (constructor argument,
+    The payload must be a JSON object of ``kind`` and ``FORMAT_VERSION``
+    with no key but those two, the header keys and ``groups``.  ``header``
+    is a model's ``HEADER`` table: key -> (constructor argument,
     allowed types, required), the types drawn from ``SIZE``, ``NAME``,
     ``FLAG``, optionally with ``NULL``; an optional key may be absent.
     ``groups`` names the key that maps weight-group names to matrices.
@@ -163,6 +157,9 @@ def check_header(payload, kind: str, header: dict, groups: str) -> None:
     for key in [key for key, (_, _, required) in header.items() if required] + [groups]:
         if key not in payload:
             raise ValueError(f"model file is missing header key '{key}'")
+    for key in payload:
+        if key not in header and key not in ("format_version", "kind", groups):
+            raise ValueError(f"model file has unknown key '{key}'")
     for key, (_, types, _) in header.items():
         value = payload.get(key)
         if key in payload and (
@@ -468,18 +465,14 @@ class FeaturelessModel(ParameterStore):
 
     def set_utilities(self, ids) -> np.ndarray:
         """Utilities aligned with ``ids`` order (halo-extraction hook)."""
-        return self.batch_set_utilities([ids])[0]
+        return self.batch_set_utilities([ids])
 
-    def batch_set_utilities(self, sets) -> list[np.ndarray]:
-        """:meth:`set_utilities` of each set, all sets as columns of one tape."""
+    def batch_set_utilities(self, sets) -> np.ndarray:
+        """:meth:`set_utilities` of every set end to end, all sets as columns of one tape."""
         sets = list(map(tuple, sets))
         u, _ = self.utilities_node(self.make_param_nodes(trainable=False), sets)  # checks them
         ids, sizes = set_ids(sets)
-        values = u.value[ids, np.arange(len(sizes)).repeat(sizes)]
-        # Each set gets its own array, as a gather per set would give: a view
-        # would keep the batch's array alive, and a caller that keeps many
-        # of them reads each through an extra object.
-        return list(map(np.ndarray.copy, split_sets(values, sizes)))
+        return u.value[ids, np.arange(len(sizes)).repeat(sizes)]
 
     def probabilities(self, choice_set) -> np.ndarray:
         return choice_probabilities(self.forward(choice_set))

@@ -2,11 +2,12 @@
 
 Any model exposing ``universe`` and ``set_utilities(ids)`` can be
 analyzed.  A model may also offer ``batch_set_utilities(sets)``, which
-returns the utilities of many offered sets from one call (the bundled
-models run them as columns of a few tapes); without it every offered set
-gets its own ``set_utilities`` call.  The marginal contribution of a
-source subset ``T`` to item ``j``'s utility is recovered by
-alternating-sign inversion over the Boolean lattice:
+returns the utilities of many offered sets from one call as one flat
+array, set by set (the bundled models run them as columns of a few
+tapes); without it every offered set gets its own ``set_utilities`` call.
+The marginal contribution of a source subset ``T`` to item ``j``'s
+utility is recovered by alternating-sign inversion over the Boolean
+lattice:
 
     effect(j, T) = sum over R subset of T of (-1)^(|T|-|R|) u_j(R + {j})
 
@@ -56,9 +57,10 @@ class SetUtilityModel(Protocol):
 
     ``set_utilities(ids)`` returns the utilities of the offered set
     ``ids``, aligned with the order of ``ids``.  A model may also define
-    ``batch_set_utilities(sets)``, returning one such array per set; when
-    it does, extraction asks for all the offered sets of a call at once,
-    and otherwise it calls ``set_utilities`` once per distinct set.
+    ``batch_set_utilities(sets)``, returning those arrays of all the sets
+    end to end as one float array; when it does, extraction asks for all
+    the offered sets of a call at once, and otherwise it calls
+    ``set_utilities`` once per distinct set.
     """
 
     universe: int
@@ -66,15 +68,21 @@ class SetUtilityModel(Protocol):
     def set_utilities(self, ids) -> np.ndarray: ...
 
 
-def _set_utilities(model: SetUtilityModel, sets: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Utilities of each offered set, from one batched call when the model has one."""
+def _set_utilities(model: SetUtilityModel, sets: list[tuple], sizes: list[int]) -> np.ndarray:
+    """Every offered set's utilities end to end, the sets of ``sizes`` ids,
+    from one batched call when the model has one."""
     batch = getattr(model, "batch_set_utilities", None)
-    if batch is None:
-        return [model.set_utilities(ids) for ids in sets]
-    values = batch(sets)
-    if len(values) != len(sets):
-        raise ValueError(f"batch_set_utilities gave {len(values)} arrays for {len(sets)} sets")
-    return values
+    if batch is not None:
+        flat, total = np.asarray(batch(sets)), sum(sizes)
+        if flat.shape != (total,):
+            raise ValueError(f"batch_set_utilities gave shape {flat.shape}, expected ({total},)")
+        return flat
+    values = list(map(np.asarray, map(model.set_utilities, sets)))
+    shapes = [vals.shape for vals in values]
+    if shapes != list(zip(sizes)):  # (len(s),) for each set s
+        s, shape = next((s, a) for s, a in zip(sets, shapes) if a != (len(s),))
+        raise ValueError(f"utilities of offered set {s} have shape {shape}, expected ({len(s)},)")
+    return np.concatenate(values)
 
 
 def _as_source(item: int, source) -> tuple[int, ...]:
@@ -194,20 +202,13 @@ def _effects(
     utilities = np.full((n, len(subsets)), np.nan)
     if offered.size:
         offered_sets = list(map(subsets.__getitem__, offered.tolist()))
-        values = list(map(np.asarray, _set_utilities(model, offered_sets)))
-        shapes = [vals.shape for vals in values]
-        expected = list(zip(sizes[offered].tolist()))  # (len(s),) for each set s
-        if shapes != expected:
-            s, shape = next((s, a) for s, a, b in zip(offered_sets, shapes, expected) if a != b)
-            raise ValueError(
-                f"utilities of offered set {s} have shape {shape}, expected ({len(s)},)"
-            )
-        flat = np.concatenate(values)
-        # One check over every value; the set is looked up only on failure.
-        if not np.isfinite(flat).all():
-            bad = next(s for s, vals in zip(offered_sets, values) if not np.isfinite(vals).all())
-            raise ValueError(f"utilities of offered set {bad} are not finite")
+        flat = _set_utilities(model, offered_sets, sizes[offered].tolist())
         pairs = chosen[owner]  # the (subset, member) pairs of the offered sets
+        # One check over every value; the set is looked up only on failure.
+        finite = np.isfinite(flat)
+        if not finite.all():
+            bad = subsets[owner[pairs][np.argmin(finite)]]  # the first bad value's set
+            raise ValueError(f"utilities of offered set {bad} are not finite")
         utilities[pos[pairs], owner[pairs]] = flat
     effects = np.where(valid, utilities[rows[:, None], succ], np.nan)
     steps = ~held & (up < width)  # S lacks ids[i], and S + {ids[i]} is in the lattice

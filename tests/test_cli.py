@@ -63,6 +63,12 @@ class TestGen:
                    "--set-size", "2", "-o", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_fixture_conflicts_with_sets(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("gen", "--fixture", "beverage", "--sets", "5", "-o", str(out)) == 2
+        assert "--fixture conflicts with --universe/--set-size/--sets" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_non_positive_n_per_set_is_usage_error(self, tmp_path, capsys, n):
         out = tmp_path / "bev.csv"
@@ -749,8 +755,13 @@ class TestModelFileValidation:
          "weight group 'readout' is not in the declared architecture"),
         (_with_group(FeaturelessModel.mnl(3).to_json(), "readuot"),
          "weight group 'readuot' is not in the declared architecture"),
+        (dict(FeaturelessModel.cmnl(3).to_json(), first_layer_residul=False),
+         "model file has unknown key 'first_layer_residul'"),
+        (dict(FeaturedModel(1, 4, 1, 1).to_json(), layer_nrom=False),
+         "model file has unknown key 'layer_nrom'"),
     ], ids=["list", "string-size", "float-size", "null-size",
-            "layer-past-depth", "identity-readout", "misspelt-group"])
+            "layer-past-depth", "identity-readout", "misspelt-group",
+            "misspelt-featureless-key", "misspelt-featured-key"])
     def test_malformed_header_exits_1(self, tmp_path, capsys, command, payload, named):
         _, obs = _featured_inputs(tmp_path)
         model = tmp_path / "model.json"
@@ -921,6 +932,50 @@ class TestHalo:
 
     def test_force_help_names_the_budget(self):
         assert "subset budget" in OPTIONS["halo"]["force"][1]["help"]
+
+
+class TestPathCollisions:
+    """Two outputs, or an output and an input, that are one file: a usage
+    error naming both flags, before anything is read or written."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, beverage_csv, trained_model):
+        (tmp_path / "bev.csv").write_bytes(beverage_csv.read_bytes())
+        (tmp_path / "m.json").write_bytes(trained_model.read_bytes())
+        (tmp_path / "alpha.csv").write_text("pair_j,pair_k,source_set,alpha\n0,1,,0.5\n")
+        (tmp_path / "s.csv").write_text("keep\n")
+        (tmp_path / "conf.json").write_text(json.dumps({"fixture": "beverage"}))
+        (tmp_path / "link.csv").symlink_to(tmp_path / "bev.csv")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, first, second", [
+        ("gen --fixture beverage -o s.csv --truth-out s.csv", "-o/--out", "--truth-out"),
+        ("gen --fixture beverage -o s.csv --truth-out ./s.csv.manifest.json",
+         "--truth-out", "the run manifest of -o/--out"),
+        ("gen --config conf.json -o conf.json", "-o/--out", "--config"),
+        ("train --model mnl --data bev.csv -o h.json --history h.json", "-o/--out", "--history"),
+        ("train --model mnl --data bev.csv -o {d}/bev.csv", "-o/--out", "--data"),
+        ("train --model mnl --data bev.csv -o link.csv", "-o/--out", "--data"),
+        ("eval --model-file m.json --data bev.csv -o bev.csv", "-o/--out", "--data"),
+        ("eval --model-file m.json --data bev.csv -o m.json", "-o/--out", "--model-file"),
+        ("eval --model-file m.json --data bev.csv --truth s.csv -o s.csv", "-o/--out", "--truth"),
+        ("halo --model-file m.json -o b.csv --svg b.csv", "-o/--out", "--svg"),
+        ("halo --model-file m.json -o m.json", "-o/--out", "--model-file"),
+        ("halo --render-only alpha.csv --svg alpha.csv", "--svg", "--render-only"),
+    ], ids=["gen-outputs", "gen-manifest", "gen-config", "train-outputs", "train-data",
+            "train-symlink", "eval-data", "eval-model", "eval-truth", "halo-outputs",
+            "halo-model", "render-only"])
+    def test_usage_error_leaves_files_alone(self, workdir, capsys, argv, first, second):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert run(*argv.format(d=workdir).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"{first} and {second} name the same file" in err
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    def test_distinct_files_run(self, workdir):
+        assert run("halo", "--render-only", "alpha.csv", "--svg", "alpha.svg") == 0
+        assert (workdir / "alpha.svg").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -969,6 +969,17 @@ class TestSplits:
         with pytest.raises(dat.DataFormatError):
             ds.with_splits({"train": [5]})
 
+    @pytest.mark.parametrize("idx", [[0.5, 1.7], [True], [0, np.float64(1.0)], [np.bool_(1)],
+                                     np.array([0.0, 1.0]), ["0"]])
+    def test_split_indices_must_be_integers(self, idx):
+        cs = dat.ChoiceSet((0, 1), 2)
+        ds = dat.Dataset([dat.Observation(cs, i % 2) for i in range(3)], universe=2)
+        with pytest.raises(dat.DataFormatError, match="split 'val' must be a list of integers"):
+            ds.with_splits({"train": [0], "val": idx})
+        kept = ds.with_splits({"train": [np.int64(0), np.int32(2)], "val": np.array([1])})
+        assert len(kept.observations_for("train")) == 2
+        assert len(kept.observations_for("val")) == 1
+
 
 class TestDatasetEquality:
     def test_feature_blocks_compare_by_their_bits(self):

@@ -482,6 +482,13 @@ class TestModelFileValidation:
         with pytest.raises(ValueError, match="must hold a JSON object, got a string"):
             FeaturedModel.from_json("featured")
 
+    @pytest.mark.parametrize("key", ["layer_nrom", "matrices", "J"])
+    def test_unknown_key_named(self, key):
+        payload = self.payload()
+        payload[key] = False
+        with pytest.raises(ValueError, match=f"model file has unknown key '{key}'$"):
+            FeaturedModel.from_json(payload)
+
     def test_weights_must_be_an_object(self):
         payload = self.payload()
         payload["weights"] = [1.0]

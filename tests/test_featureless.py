@@ -404,6 +404,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             FeaturelessModel.from_json({"kind": "featured", "format_version": 1})
 
+    @pytest.mark.parametrize("key", ["first_layer_residul", "weights", "d_x"])
+    def test_unknown_key_named(self, key):
+        # A misspelt optional key would otherwise load as its default.
+        payload = FeaturelessModel.deephalo(3, width=4).to_json()
+        payload[key] = False
+        with pytest.raises(ValueError, match=f"model file has unknown key '{key}'$"):
+            FeaturelessModel.from_json(payload)
+
     @pytest.mark.parametrize("key,value,named", [
         ("J", "4", "'J' must be an integer, got \"4\""),
         ("L", 2.5, "'L' must be an integer, got 2.5"),

@@ -683,7 +683,9 @@ class TestBatchedForwards:
     def test_batch_aligned_with_id_order(self):
         for m in (_featureless("quadratic", "dense", None), _catalog("heads", "mean")):
             sets = [(4, 0, 2), (1,), (3, 1), (0, 1, 2, 3, 4)]
-            for ids, values in zip(sets, m.batch_set_utilities(sets)):
+            flat = m.batch_set_utilities(sets)
+            assert flat.shape == (3 + 1 + 2 + 5,)
+            for ids, values in zip(sets, np.split(flat, [3, 4, 6])):
                 np.testing.assert_array_equal(values, m.set_utilities(ids))
                 order = sorted(range(len(ids)), key=ids.__getitem__)
                 np.testing.assert_array_equal(
@@ -711,8 +713,14 @@ class TestBatchedForwards:
             with pytest.raises(ValueError, match=message):
                 m.batch_set_utilities([(0, 1), bad])
         np.testing.assert_array_equal(
-            m.batch_set_utilities([np.array([2, 0]), (2.0, 0.0)])[1], m.set_utilities((2, 0))
+            m.batch_set_utilities([np.array([2, 0]), (2.0, 0.0)])[2:4], m.set_utilities((2, 0))
         )
+
+    @BOTH_MODELS
+    def test_utilities_own_their_data(self, make):
+        m = make()
+        assert m.set_utilities((3, 0, 2)).base is None
+        assert m.batch_set_utilities([(3, 0, 2), (1,), (4, 1)]).base is None
 
     @BOTH_MODELS
     def test_first_bad_set_mid_batch_is_named(self, make):
@@ -729,7 +737,7 @@ class TestBatchedForwards:
 
     def test_misshapen_utilities_rejected(self):
         class Short:
-            """Its batch drops the first set."""
+            """Its batch drops the first set's utilities."""
 
             universe = 3
 
@@ -737,7 +745,7 @@ class TestBatchedForwards:
                 return np.zeros(len(ids))
 
             def batch_set_utilities(self, sets):
-                return [np.zeros(len(ids)) for ids in sets[1:]]
+                return np.zeros(sum(map(len, sets[1:])))
 
         class Wide:
             """Returns a universe-wide vector, not one aligned with the set."""
@@ -747,7 +755,8 @@ class TestBatchedForwards:
             def set_utilities(self, ids):
                 return np.zeros(3)
 
-        with pytest.raises(ValueError, match="gave 6 arrays for 7 sets"):
+        # The 7 offered sets of 3 ids have 3 * 1 + 3 * 2 + 3 = 12 members.
+        with pytest.raises(ValueError, match=r"gave shape \(11,\), expected \(12,\)"):
             full_context_table(Short(), 2)
         with pytest.raises(ValueError, match=r"set \(0,\) have shape \(3,\), expected \(1,\)"):
             full_context_table(Wide(), 1)
@@ -770,6 +779,22 @@ class TestBatchedForwards:
             marginal_effect(m, 0, (2,))
         with pytest.raises(ValueError, match=message):
             relative_halo(m, 0, 2, ())
+
+
+    def test_non_finite_batch_names_the_first_bad_set(self):
+        class NonFiniteBatch:
+            """Its batch is finite except on the offered sets (0, 2) and (1, 2)."""
+
+            universe = 3
+
+            def batch_set_utilities(self, sets):
+                bad = {(0, 2): [0.0, np.nan], (1, 2): [np.inf, 0.0]}
+                return np.concatenate([bad.get(tuple(s), np.zeros(len(s))) for s in sets])
+
+        with pytest.raises(ValueError, match=r"offered set \(0, 2\) are not finite"):
+            full_context_table(NonFiniteBatch(), 2)
+        with pytest.raises(ValueError, match=r"offered set \(1, 2\) are not finite"):
+            marginal_effect(NonFiniteBatch(), 1, (2,))
 
 
 class TestTapeCount:
@@ -823,7 +848,7 @@ class TestTapeCount:
         assert columns == [3] and blocks == [4]
         columns.clear()
         blocks.clear()
-        assert m.batch_set_utilities([]) == []
+        assert m.batch_set_utilities([]).shape == (0,)
         assert full_relative_table(m, 2, pairs=[]).entries == {}
         assert columns == blocks == []
 
