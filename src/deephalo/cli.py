@@ -191,7 +191,12 @@ def _check_config_value(name: str, value, default, keywords: dict) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicitly passed flags, all named in ``OPTIONS``."""
+    """defaults < config file < explicitly passed flags, all named in ``OPTIONS``.
+
+    Two keys of the file that set one option (its name and a
+    ``CONFIG_ALIASES`` alias, or ``lr_schedule`` and a rate it sets) are a
+    usage error naming both.
+    """
     options = OPTIONS[args.command]
     merged = {name: default for name, (default, _) in options.items()}
     if args.config:
@@ -200,25 +205,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
             check_object(file_conf, f"config file {args.config}")
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        for alias, target in CONFIG_ALIASES.items():
-            if alias in file_conf and target in options:
-                file_conf[target] = file_conf.pop(alias)
-        if "lr_schedule" in file_conf and "lr2" in options:
-            schedule = file_conf.pop("lr_schedule")
-            if not isinstance(schedule, list) or len(schedule) != 3:
-                raise UsageError(
-                    f"config key 'lr_schedule' must be [rate1, rate2, switch_epoch], got {schedule!r}"
-                )
-            rate1, rate2, switch = schedule
-            file_conf.setdefault("lr", rate1)
-            file_conf.setdefault("lr2", rate2)
-            file_conf.setdefault("lr_switch", switch)
-        unknown = set(file_conf) - set(options)
+        given, setter = {}, {}  # option -> value, and the file key that sets it
+        for key, value in file_conf.items():
+            if key == "lr_schedule" and "lr2" in options:
+                if not isinstance(value, list) or len(value) != 3:
+                    raise UsageError(
+                        f"config key 'lr_schedule' must be [rate1, rate2, switch_epoch], got {value!r}"
+                    )
+                settings = zip(("lr", "lr2", "lr_switch"), value)
+            else:
+                target = CONFIG_ALIASES.get(key)
+                settings = [(target if target in options else key, value)]
+            for name, setting in settings:
+                if name in setter:
+                    raise UsageError(
+                        f"config keys '{setter[name]}' and '{key}' both set {_flag(name)}"
+                    )
+                given[name], setter[name] = setting, key
+        unknown = set(given) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in file_conf.items():
+        for name, value in given.items():
             _check_config_value(name, value, *options[name])
-        merged.update(file_conf)
+        merged.update(given)
     for name in options:
         value = getattr(args, name)
         if value is not None:

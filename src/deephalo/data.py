@@ -234,17 +234,20 @@ class Dataset:
         return np.asarray(self.splits[split], dtype=np.intp)
 
     def with_splits(self, splits: dict[str, list[int]]) -> "Dataset":
-        """A copy with ``splits``, each index checked to be an observation
-        position: a Python or NumPy integer, not a boolean."""
+        """A copy with ``splits``, each split read once into a list and each
+        index checked to be an observation position: a Python or NumPy
+        integer, not a boolean."""
         n = len(self)
+        out = copy.copy(self)
+        out.splits = {}
         for name, idx in splits.items():
+            idx = list(idx)
             if not all(t is int or issubclass(t, np.integer) for t in set(map(type, idx))):
                 raise DataFormatError(f"split '{name}' must be a list of integers")
             bad = [i for i in idx if not 0 <= i < n]
             if bad:
                 raise DataFormatError(f"split '{name}' indexes out of range: {bad[:3]}")
-        out = copy.copy(self)
-        out.splits = splits
+            out.splits[name] = idx
         return out
 
 

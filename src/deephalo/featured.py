@@ -62,7 +62,6 @@ from .featureless import (
     UtilityVector,
     check_sets,
     choice_probabilities,
-    column_probabilities,
     set_ids,
 )
 
@@ -316,13 +315,15 @@ class FeaturedModel(ParameterStore):
     # -- training hooks ------------------------------------------------------------
     # Grouping and the loss head live in ``training``.  A configuration is
     # the (features, mask) pair, and an observation's row in its utility
-    # column is the chosen slot.
+    # column is its chosen slot, the dataset's ``ROW_COLUMN``.
+
+    ROW_COLUMN = "slot"
 
     def group_key(self, choice_set, features):
         if features is None:
             raise ValueError("featured model requires observations with features")
         mask = choice_set.mask
-        return (features.tobytes(), mask.tobytes()), (features, mask), range(mask.size)
+        return (features.tobytes(), mask.tobytes()), (features, mask)
 
     loss_node = training.observations_loss
 
@@ -330,14 +331,16 @@ class FeaturedModel(ParameterStore):
         """(slots x configurations) probabilities and the real-slot mask.
 
         ``blocks`` holds one (features, mask) pair per configuration; a
-        column equals the pair's own forward bit for bit.
+        column equals the pair's own :meth:`probabilities` bit for bit.  The
+        blocked utilities go through the tape's
+        :func:`autodiff.masked_softmax`, as in training.
         """
         nodes = self.make_param_nodes(trainable=False)
         rows = max(np.size(m) for _, m in blocks)
         values, mask = self._blocked_utilities(
             blocks, rows, lambda chunk: self.utilities_node(nodes, chunk)
         )
-        return column_probabilities(values, mask), mask
+        return ad.masked_softmax(ad.constant(values), mask).value, mask
 
 
 class CatalogSetModel:

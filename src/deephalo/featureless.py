@@ -52,21 +52,9 @@ class UtilityVector:
 
 
 def choice_probabilities(utilities: UtilityVector) -> np.ndarray:
-    """Masked softmax: exact zeros at dummy slots, stabilized by the max."""
-    return column_probabilities(utilities.values[:, None], utilities.mask[:, None])[:, 0]
-
-
-def column_probabilities(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """:func:`choice_probabilities` of each column of a utility matrix.
-
-    Each column is normalised over its unmasked rows by its own
-    ``math.fsum`` denominator; masked rows are exactly zero.
-    """
-    if not mask.any(axis=0).all():
-        raise DegenerateSetError("no real alternatives to choose from")
-    mx = np.where(mask, values, -np.inf).max(axis=0)
-    exps = np.exp(np.where(mask, values - mx, -np.inf))
-    return exps / np.array([math.fsum(col) for col in exps.T.tolist()])
+    """:func:`autodiff.masked_softmax` of one utility vector: exact zeros at dummy slots."""
+    values = np.where(utilities.mask, utilities.values, 0.0)
+    return ad.masked_softmax(ad.constant(values), utilities.mask).value[:, 0]
 
 
 def required_depth_quadratic(universe: int) -> int:
@@ -478,17 +466,23 @@ class FeaturelessModel(ParameterStore):
         return choice_probabilities(self.forward(choice_set))
 
     def predict(self, sets) -> tuple[np.ndarray, np.ndarray]:
-        """(universe x sets) probabilities, one offered set per column, and the mask."""
+        """(universe x sets) probabilities, one offered set per column, and the mask.
+
+        The tape's :func:`autodiff.masked_softmax` of the utilities, so
+        predictions and training share one normaliser.
+        """
         u, mask = self.utilities_node(self.make_param_nodes(trainable=False), sets)
-        return column_probabilities(u.value, mask), mask
+        return ad.masked_softmax(u, mask).value, mask
 
     # -- training hooks --------------------------------------------------------
     # Grouping and the loss head live in ``training``.  A configuration is
     # the sorted offered set, and an observation's row in its utility
-    # column is the chosen item id: slot j's row is the id in slot j.
+    # column is its chosen item id, the dataset's ``ROW_COLUMN``.
+
+    ROW_COLUMN = "chosen"
 
     def group_key(self, choice_set, features):
         ids = tuple(sorted(choice_set.items))
-        return ids, ids, choice_set.items
+        return ids, ids
 
     loss_node = training.observations_loss

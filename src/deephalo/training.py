@@ -162,34 +162,33 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 class Groups:
     """The observations ``index`` of a dataset, grouped by ``model.group_key``.
 
-    ``group_key(choice_set, features)`` gives ``(key, configuration,
-    rows)``: the configuration is what the model reads (the sorted offered
-    set, or the (features, mask) pair), and ``rows[j]`` is the row in that
-    configuration's utility column of an observation that chooses slot
-    ``j`` (the item id, or the slot itself).  It is called once per stored
-    configuration (``dataset.set_index``) that ``index`` reaches: an offered
-    set of featureless data, an (offered set, feature block) pair of featured
+    ``group_key(choice_set, features)`` gives ``(key, configuration)``: the
+    configuration is what the model reads (the sorted offered set, or the
+    (features, mask) pair).  It is called once per stored configuration
+    (``dataset.set_index``) that ``index`` reaches: an offered set of
+    featureless data, an (offered set, feature block) pair of featured
     data.  ``configs`` holds one configuration per distinct key, in the
-    dataset's configuration order; ``group[i]`` and ``row[i]``, the position
-    in ``configs`` and the row of observation ``index[i]``, come by array
-    indexing.  No result depends on the group order (sorted sums and fsums).
+    dataset's configuration order, and ``group[i]`` is the position in
+    ``configs`` of observation ``index[i]``.  ``row[i]`` is that
+    observation's row in its configuration's utility column, read off the
+    dataset column that ``model.ROW_COLUMN`` names (the chosen item id, or
+    the chosen slot).  No result depends on the group order (sorted sums
+    and fsums).
     """
 
     def __init__(self, model, dataset: Dataset, index: np.ndarray):
         stored = dataset.set_index[index]
         _, first, inverse = np.unique(stored, return_index=True, return_inverse=True)
         keys: dict = {}
-        self.configs, group, start, rows = [], [], [], []
+        self.configs, group = [], []
         for i in index[first].tolist():
-            key, config, r = model.group_key(*dataset.configuration(i))
+            key, config = model.group_key(*dataset.configuration(i))
             g = keys.setdefault(key, len(keys))
             if g == len(self.configs):
                 self.configs.append(config)
             group.append(g)
-            start.append(len(rows))
-            rows.extend(r)
         self.group = np.array(group)[inverse]
-        self.row = np.array(rows)[np.array(start)[inverse] + dataset.slot[index]]
+        self.row = getattr(dataset, model.ROW_COLUMN)[index]
         self.rows = int(self.row.max()) + 1
 
     def __len__(self) -> int:

@@ -331,6 +331,28 @@ class TestColumnSoftmax:
                 ad.masked_log_softmax(ad.constant(u), mask).value[:, 0], want_log
             )
 
+    def test_within_bound_of_exactly_rounded_oracle(self):
+        """Each column is within (k + 2) * 2**-53, relative, of a softmax whose
+        denominator is exactly rounded (``math.fsum``), k its real rows: the
+        sorted sum's error over k positive summands, the oracle's rounding,
+        and the two divisions.  Masked rows are exactly zero in both."""
+
+        def fsum_softmax(values, mask):
+            mx = np.where(mask, values, -np.inf).max(axis=0)
+            exps = np.exp(np.where(mask, values - mx, -np.inf))
+            return exps / np.array([math.fsum(col) for col in exps.T.tolist()])
+
+        rng = np.random.default_rng(26)
+        for rows in (4, 9, 31, 100):
+            u = rng.normal(0.0, 3.0, size=(rows, 40))
+            mask = rng.random((rows, 40)) < 0.8
+            mask[0] = True
+            got = ad.masked_softmax(ad.constant(u), mask).value
+            want = fsum_softmax(u, mask)
+            assert np.all(got[~mask] == 0.0) and np.all(want[~mask] == 0.0)
+            bound = (mask.sum(axis=0) + 2) * 2.0**-53
+            assert np.all(np.abs(got - want) <= bound * want)
+
     def test_all_masked_column_rejected(self):
         mask = np.array([[True, False], [False, False]])
         with pytest.raises(ad.DegenerateSetError):

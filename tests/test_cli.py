@@ -361,15 +361,22 @@ class TestTrain:
         conf.write_text(json.dumps({
             "model": "mnl", "loss": "nll", "learning_rate": 0.1,
             "batch_size": 0, "max_epochs": 4, "seed": 2,
-            "lr_schedule": [0.1, 0.01, 3],
         }))
         out = tmp_path / "m.json"
         hist = tmp_path / "h.csv"
         assert run("train", "--config", str(conf), "--data", str(beverage_csv),
                    "-o", str(out), "--history", str(hist)) == 0
         rows = hist.read_text().strip().splitlines()[1:]
-        assert len(rows) == 4
-        assert rows[0].split(",")[3] == "0.1" and rows[-1].split(",")[3] == "0.01"
+        assert [row.split(",")[3] for row in rows] == ["0.1"] * 4
+
+    def test_config_lr_schedule_sets_both_rates(self, tmp_path, beverage_csv):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"model": "mnl", "epochs": 4, "lr_schedule": [0.1, 0.01, 3]}))
+        hist = tmp_path / "h.csv"
+        assert run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "-o", str(tmp_path / "m.json"), "--history", str(hist)) == 0
+        rows = hist.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0.1", "0.1", "0.01", "0.01"]
 
     def test_short_lr_schedule_is_usage_error(self, tmp_path, capsys, beverage_csv):
         conf = tmp_path / "conf.json"
@@ -378,6 +385,30 @@ class TestTrain:
                    "-o", str(tmp_path / "m.json"))
         assert code == 2
         assert "lr_schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_conf, flag", [
+        ({"learning_rate": 0.1, "lr": 0.2}, "--lr"),
+        ({"batch_size": 5, "batch": 7}, "--batch"),
+        ({"max_epochs": 2, "epochs": 3}, "--epochs"),
+        ({"lr_schedule": [0.1, 0.01, 2], "lr": 0.5}, "--lr"),
+        ({"lr2": 0.05, "lr_schedule": [0.1, 0.01, 2]}, "--lr2"),
+        ({"lr_schedule": [0.1, 0.01, 2], "lr_switch": 3}, "--lr-switch"),
+        ({"learning_rate": 0.1, "lr_schedule": [0.3, 0.01, 2]}, "--lr"),
+    ], ids=["learning-rate", "batch-size", "max-epochs", "schedule-lr", "lr2-schedule",
+            "schedule-lr-switch", "learning-rate-schedule"])
+    def test_two_config_keys_for_one_option_are_usage_error(
+        self, tmp_path, capsys, beverage_csv, file_conf, flag
+    ):
+        """Either order of the two keys in the file is refused, naming both."""
+        first, second = file_conf
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"model": "mnl", **file_conf}))
+        out = tmp_path / "m.json"
+        code = run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "--epochs", "1", "-o", str(out))
+        assert code == 2
+        assert f"config keys '{first}' and '{second}' both set {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [conf]  # nothing written, not even a manifest
 
     @pytest.mark.parametrize("payload", [[[0, 1]], {"train": [0, "a"]}])
     def test_malformed_split_manifest_exits_1(self, tmp_path, capsys, beverage_csv, payload):

@@ -969,6 +969,23 @@ class TestSplits:
         with pytest.raises(dat.DataFormatError):
             ds.with_splits({"train": [5]})
 
+    def test_generator_split_out_of_range_rejected(self):
+        cs = dat.ChoiceSet((0, 1), 2)
+        ds = dat.Dataset([dat.Observation(cs, 0)], universe=2)
+        with pytest.raises(dat.DataFormatError, match=r"split 'train' indexes out of range: \[5\]"):
+            ds.with_splits({"train": (i for i in [0, 5])})
+
+    @pytest.mark.parametrize("make", [lambda idx: (i for i in idx), set, np.array],
+                             ids=["generator", "set", "array"])
+    def test_split_iterable_is_read_once_into_a_list(self, make):
+        cs = dat.ChoiceSet((0, 1), 2)
+        ds = dat.Dataset([dat.Observation(cs, i % 2) for i in range(3)], universe=2)
+        kept = ds.with_splits({"train": make([0, 2]), "val": make([1])})
+        assert kept.splits == {"train": [0, 2], "val": [1]}
+        assert kept == ds.with_splits({"train": [0, 2], "val": [1]})
+        assert kept.indices("train").tolist() == [0, 2]
+        assert [o.chosen for o in kept.observations_for("val")] == [1]
+
     @pytest.mark.parametrize("idx", [[0.5, 1.7], [True], [0, np.float64(1.0)], [np.bool_(1)],
                                      np.array([0.0, 1.0]), ["0"]])
     def test_split_indices_must_be_integers(self, idx):

@@ -388,7 +388,12 @@ def test_predict_blocks_equal_one_observation_probabilities():
         x, mask = random_inputs(rng, 3, int(rng.integers(1, width + 1)), width)
         cs = dat.ChoiceSet(tuple(range(int(mask.sum()))), width)
         observations.append(dat.Observation(cs, 0, x))
-    probs, mask = m.predict([(obs.features, obs.choice_set.mask) for obs in observations])
+    blocks = [(obs.features, obs.choice_set.mask) for obs in observations]
+    probs, mask = m.predict(blocks)
+    # The blocked utilities go through training's normaliser.
+    u, slots = m.utilities_node(m.make_param_nodes(trainable=False), blocks)
+    assert np.array_equal(mask, slots)
+    assert np.array_equal(probs, ad.masked_softmax(u, slots).value)
     for g, obs in enumerate(observations):
         want = m.probabilities(obs.features, obs.choice_set.mask)
         assert np.array_equal(probs[: want.size, g], want)

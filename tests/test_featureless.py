@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from deephalo import autodiff as ad
 from deephalo import data as dat
 from deephalo.featureless import (
     FeaturelessModel,
@@ -225,6 +226,7 @@ def test_batched_columns_equal_one_set_forwards(activation, output_mode, rank, r
     u, mask = m.utilities_node(nodes, sets)
     probs, _ = m.predict(sets)
     assert u.shape == mask.shape == probs.shape == (4, len(sets))
+    assert np.array_equal(probs, ad.masked_softmax(u, mask).value)  # training's normaliser
     for g, ids in enumerate(sets):
         one, one_mask = m.utilities_node(nodes, [ids])
         np.testing.assert_array_equal(u.value[:, g], one.value[:, 0])

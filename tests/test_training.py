@@ -19,6 +19,7 @@ from deephalo.featureless import FeaturelessModel
 from deephalo.training import (
     AdamState,
     EpochRecord,
+    Groups,
     History,
     Metrics,
     TrainConfig,
@@ -509,6 +510,27 @@ class TestGroupingContract:
         assert history.digest() == ref_history.digest()
         for (_, got), (_, want) in zip(model.trainables(), ref_model.trainables()):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["featureless", "featured"])
+    def test_row_is_read_off_the_dataset(self, kind):
+        """An observation's row is its chosen id (featureless) or its chosen
+        slot (featured), and names a real row of its group's configuration."""
+        if kind == "featureless":
+            ds, model, column = _featureless_orders_dataset(), FeaturelessModel(4, 6, 2), "chosen"
+            assert {ds.sets[s].items for s in ds.set_index} >= {(2, 0, 1), (0, 1, 2), (1, 2, 0)}
+        else:
+            ds, model, column = _featured_repeats_dataset(), FeaturedModel(3, 4, 2, 2), "slot"
+        assert model.ROW_COLUMN == column
+        for index in (ds.indices(), np.arange(len(ds))[1::3][::-1]):
+            groups = Groups(model, ds, index)
+            assert np.array_equal(groups.row, getattr(ds, column)[index])
+            for i, g, row in zip(index, groups.group, groups.row):
+                cs, _ = ds.configuration(i)
+                config = groups.configs[g]
+                if kind == "featureless":
+                    assert row == cs.items[ds.slot[i]] and row in config
+                else:
+                    assert row == ds.slot[i] and config[1][row]
 
     @pytest.mark.parametrize("loss", ["nll", "mse_onehot"])
     @pytest.mark.parametrize("kind", ["featureless", "featured"])
