@@ -162,11 +162,14 @@ ARCHITECTURE_MINIMA = {
     "deephalo-feat": {"depth": 1, "width": 0, "heads": 1},
 }
 
-# Training config files may use the TrainConfig field names directly.
-CONFIG_ALIASES = {
-    "learning_rate": "lr",
-    "batch_size": "batch",
-    "max_epochs": "epochs",
+# Config-file keys other than option names, each with the options it sets:
+# the TrainConfig fields whose option has another name, and lr_schedule =
+# [lr, lr2, lr_switch].  Every other TrainConfig field is an option.
+CONFIG_KEYS = {
+    "learning_rate": ("lr",),
+    "batch_size": ("batch",),
+    "max_epochs": ("epochs",),
+    "lr_schedule": ("lr", "lr2", "lr_switch"),
 }
 
 
@@ -193,9 +196,10 @@ def _check_config_value(name: str, value, default, keywords: dict) -> None:
 def _merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicitly passed flags, all named in ``OPTIONS``.
 
-    Two keys of the file that set one option (its name and a
-    ``CONFIG_ALIASES`` alias, or ``lr_schedule`` and a rate it sets) are a
-    usage error naming both.
+    A file key is an option name, or a ``CONFIG_KEYS`` key (a ``TrainConfig``
+    field name, or ``lr_schedule``) when the command has the options it
+    sets.  Two keys of the file that set one option are a usage error
+    naming both.
     """
     options = OPTIONS[args.command]
     merged = {name: default for name, (default, _) in options.items()}
@@ -207,16 +211,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(str(exc)) from None
         given, setter = {}, {}  # option -> value, and the file key that sets it
         for key, value in file_conf.items():
-            if key == "lr_schedule" and "lr2" in options:
-                if not isinstance(value, list) or len(value) != 3:
-                    raise UsageError(
-                        f"config key 'lr_schedule' must be [rate1, rate2, switch_epoch], got {value!r}"
-                    )
-                settings = zip(("lr", "lr2", "lr_switch"), value)
-            else:
-                target = CONFIG_ALIASES.get(key)
-                settings = [(target if target in options else key, value)]
-            for name, setting in settings:
+            targets = CONFIG_KEYS.get(key, (key,))
+            if not set(targets) <= set(options):
+                targets = (key,)
+            values = [value] if len(targets) == 1 else value
+            if not isinstance(values, list) or len(values) != len(targets):
+                raise UsageError(
+                    f"config key '{key}' must be [rate1, rate2, switch_epoch], got {value!r}"
+                )
+            for name, setting in zip(targets, values):
                 if name in setter:
                     raise UsageError(
                         f"config keys '{setter[name]}' and '{key}' both set {_flag(name)}"
@@ -274,6 +277,8 @@ def _cmd_gen(args) -> int:
         manifest.add_output(conf["out"])
         if conf["n_per_set"] < 1:
             raise UsageError(f"--n-per-set must be at least 1, got {conf['n_per_set']}")
+        if conf["seed"] < 0:
+            raise UsageError(f"--seed must be non-negative, got {conf['seed']}")
         if conf["sets"] < 0:
             raise UsageError(
                 f"--sets must be non-negative (0 enumerates every subset), got {conf['sets']}"
@@ -319,20 +324,6 @@ def _parse_rank(value) -> int | None:
     return rank
 
 
-def _parse_schedule(conf: dict) -> tuple[float, float, int] | None:
-    """``(--lr, --lr2, --lr-switch)`` when either of the last two is set, else None."""
-    rate, rate2, switch = conf["lr"], conf["lr2"], conf["lr_switch"]
-    if not rate2 and not switch:
-        return None
-    if not rate > 0:
-        raise UsageError(f"--lr2 and --lr-switch need --lr, a positive rate; got {rate}")
-    if not 0 < rate2 < math.inf:
-        raise UsageError(f"--lr-switch needs --lr2, a positive finite rate; got {rate2}")
-    if switch < 1:
-        raise UsageError(f"--lr2 needs --lr-switch, an epoch >= 1; got {switch}")
-    return rate, rate2, switch
-
-
 def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
     kind = conf["model"]
     universe = max(conf["universe"], dataset.universe)
@@ -368,24 +359,19 @@ def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
     raise UsageError(f"unknown model kind '{kind}'; choose from {MODEL_KINDS}")
 
 
-def _train_config(conf: dict, schedule) -> trn.TrainConfig:
-    """The run's TrainConfig; a value it rejects is a usage error that names the flag."""
+def _train_config(conf: dict) -> trn.TrainConfig:
+    """The run's TrainConfig, each field read from its option (``CONFIG_KEYS``).
+
+    A value it rejects is a usage error, its message naming flags in place
+    of field names.
+    """
+    option = {f.name: CONFIG_KEYS.get(f.name, (f.name,))[0] for f in fields(trn.TrainConfig)}
     try:
-        return trn.TrainConfig(
-            loss=conf["loss"],
-            learning_rate=conf["lr"],
-            batch_size=conf["batch"],
-            max_epochs=conf["epochs"],
-            patience=conf["patience"],
-            seed=conf["seed"],
-            lr_schedule=schedule,
-            clip_norm=conf["clip_norm"],
-        )
+        return trn.TrainConfig(**{name: conf[opt] for name, opt in option.items()})
     except ValueError as exc:
         message = str(exc)
-        for field in fields(trn.TrainConfig):
-            flag = "--" + CONFIG_ALIASES.get(field.name, field.name).replace("_", "-")
-            message = re.sub(rf"\b{field.name}\b", flag, message)
+        for name, opt in option.items():
+            message = re.sub(rf"\b{name}\b", _flag(opt), message)
         raise UsageError(message) from None
 
 
@@ -416,11 +402,13 @@ def _cmd_train(args) -> int:
             raise UsageError(f"train requires --{required.replace('_', '-')}")
     if conf["model"] != "deephalo-feat" and conf["items"]:
         raise UsageError("--items is only meaningful for deephalo-feat")
+    if conf["model"] == "deephalo-feat" and not conf["items"]:
+        raise UsageError("deephalo-feat needs its data's item features (--items)")
     _check_paths(args, conf, ["out", "history"], ["data", "items", "split"])
     with Manifest("train", conf, [conf["data"]]) as manifest:
         manifest.add_output(conf["out"])
         rank = _parse_rank(conf["rank"])
-        config = _train_config(conf, _parse_schedule(conf))
+        config = _train_config(conf)
         for name, least in ARCHITECTURE_MINIMA.get(conf["model"], {}).items():
             if conf[name] < least:
                 raise UsageError(f"--{name} must be at least {least}, got {conf[name]}")

@@ -453,10 +453,22 @@ def save_split_manifest(splits: dict[str, list[int]], path) -> None:
 
 
 def read_json(path):
-    """The JSON document in ``path``; a file that is not valid JSON is named."""
+    """The JSON document in ``path``; a file that is not valid JSON, or whose
+    objects repeat a key, is named."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DataFormatError(f"{path}: key '{key}' appears twice in one object")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except DataFormatError:
+            raise
         except ValueError as exc:
             raise DataFormatError(f"{path}: not valid JSON ({exc})") from None
 

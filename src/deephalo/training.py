@@ -26,28 +26,38 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """The settings of one :func:`train` run, each checked here.
+
+    A rate switch trains at ``learning_rate`` before epoch ``lr_switch``
+    and at ``lr2`` from it on; ``lr2 = lr_switch = 0`` keeps one rate.
+    """
+
     loss: str = "nll"
     learning_rate: float = 1e-3
     batch_size: int = 0  # 0 = full batch
     max_epochs: int = 200
     patience: int = 0  # 0 = no early stopping
     seed: int = 0
-    lr_schedule: tuple[float, float, int] | None = None  # (rate1, rate2, switch_epoch)
+    lr2: float = 0.0  # 0 = no rate switch
+    lr_switch: int = 0
     clip_norm: float = 0.0  # 0 = no clipping
 
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
+        if self.lr2 or self.lr_switch:
+            if not self.learning_rate > 0:
+                raise ValueError(
+                    f"lr2 and lr_switch need learning_rate, a positive rate; got {self.learning_rate}"
+                )
+            if not 0 < self.lr2 < math.inf:
+                raise ValueError(f"lr_switch needs lr2, a positive finite rate; got {self.lr2}")
+            if self.lr_switch < 1:
+                raise ValueError(f"lr2 needs lr_switch, an epoch >= 1; got {self.lr_switch}")
         for name in ("learning_rate", "clip_norm"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-        if self.lr_schedule is not None:
-            r1, r2, switch = self.lr_schedule
-            if not (0 < r1 < math.inf and 0 < r2 < math.inf):
-                raise ValueError("schedule rates must be positive and finite")
-            if switch < 1:
-                raise ValueError("schedule switch epoch must be >= 1")
         if self.patience < 0 or self.patience > self.max_epochs:
             raise ValueError(
                 f"patience must lie in [0, max_epochs], got {self.patience} "
@@ -59,12 +69,11 @@ class TrainConfig:
             raise ValueError(
                 f"batch_size must be non-negative (0 = full batch), got {self.batch_size}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def rate_for_epoch(self, epoch: int) -> float:
-        if self.lr_schedule is None:
-            return self.learning_rate
-        rate1, rate2, switch = self.lr_schedule
-        return rate1 if epoch < switch else rate2
+        return self.lr2 if 0 < self.lr_switch <= epoch else self.learning_rate
 
 
 @dataclass

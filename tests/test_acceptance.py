@@ -50,7 +50,8 @@ def beverage_fit():
         learning_rate=0.05,
         max_epochs=900,
         seed=5,
-        lr_schedule=(0.05, 0.005, 600),
+        lr2=0.005,
+        lr_switch=600,
     )
     model, _ = train(model, dataset, config)
     return model, table
@@ -78,7 +79,8 @@ def depth_study():
                 learning_rate=0.03,
                 max_epochs=800,
                 seed=13,
-                lr_schedule=(0.03, 0.003, 500),
+                lr2=0.003,
+                lr_switch=500,
             ),
         )
         model, _ = train(
@@ -329,7 +331,8 @@ def test_criterion_8_special_case_equivalences():
             learning_rate=0.05,
             max_epochs=1500,
             seed=3,
-            lr_schedule=(0.05, 0.002, 1000),
+            lr2=0.002,
+            lr_switch=1000,
         )
         model, history = train(model, dataset, config)
         nll[label] = history.records[-1].train_loss

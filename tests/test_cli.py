@@ -5,13 +5,14 @@ import json
 import math
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from deephalo import data as dat
 from deephalo import training as trn
-from deephalo.cli import OPTIONS, main
+from deephalo.cli import OPTIONS, _merge_config, _train_config, build_parser, main
 from deephalo.featured import FeaturedModel
 from deephalo.featureless import FeaturelessModel
 from deephalo.halo import read_halo_csv
@@ -78,6 +79,19 @@ class TestGen:
         assert not out.exists()
         manifest = json.loads((tmp_path / "bev.csv.manifest.json").read_text())
         assert manifest["status"] == "error"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, source):
+        given = ["--seed", "-1"]
+        if source == "config":
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"seed": -1}))
+            given = ["--config", str(conf)]
+        out = tmp_path / "bev.csv"
+        assert run("gen", "--fixture", "beverage", *given, "-o", str(out)) == 2
+        assert "usage error: --seed must be non-negative, got -1\n" == capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "bev.csv.truth.csv").exists()
 
     def test_negative_sets_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "syn.csv"
@@ -175,12 +189,13 @@ class TestTrain:
         assert manifest["status"] == "ok"
         assert manifest["command"] == "train"
 
-    def test_feature_model_on_featureless_data_fails(self, tmp_path, beverage_csv):
-        code = run("train", "--model", "deephalo-feat", "--data", str(beverage_csv),
+    def test_feature_model_on_featureless_data_fails(self, tmp_path, capsys):
+        """Without --items, before the (absent) data is read and before anything is written."""
+        code = run("train", "--model", "deephalo-feat", "--data", str(tmp_path / "absent.csv"),
                    "--epochs", "2", "-o", str(tmp_path / "m.json"))
-        assert code == 1
-        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
-        assert manifest["status"] == "error"
+        assert code == 2
+        assert "deephalo-feat needs its data's item features (--items)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_batch_fails_with_error_manifest(self, tmp_path, capsys, beverage_csv):
         code = run("train", "--model", "mnl", "--data", str(beverage_csv),
@@ -199,7 +214,9 @@ class TestTrain:
          "--patience must lie in [0, --epochs], got -1 with --epochs 200"),
         (["--patience", "5", "--epochs", "2"], {"patience": 5, "epochs": 2},
          "--patience must lie in [0, --epochs], got 5 with --epochs 2"),
-    ], ids=["negative-batch", "zero-epochs", "negative-patience", "patience-past-epochs"])
+        (["--seed", "-3"], {"seed": -3}, "--seed must be non-negative, got -3"),
+    ], ids=["negative-batch", "zero-epochs", "negative-patience", "patience-past-epochs",
+            "negative-seed"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_training_range_is_usage_error_before_loading(
         self, tmp_path, capsys, source, flags, file_conf, named
@@ -410,6 +427,17 @@ class TestTrain:
         assert f"config keys '{first}' and '{second}' both set {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [conf]  # nothing written, not even a manifest
 
+    def test_config_that_repeats_a_key_is_usage_error(self, tmp_path, capsys, beverage_csv):
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"model": "mnl", "lr": 0.1, "lr": 0.2, "epochs": 1}')
+        code = run("train", "--config", str(conf), "--data", str(beverage_csv),
+                   "-o", str(tmp_path / "m.json"))
+        assert code == 2
+        assert f"usage error: {conf}: key 'lr' appears twice in one object\n" == (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == [conf]  # nothing written, not even a manifest
+
     @pytest.mark.parametrize("payload", [[[0, 1]], {"train": [0, "a"]}])
     def test_malformed_split_manifest_exits_1(self, tmp_path, capsys, beverage_csv, payload):
         split = tmp_path / "split.json"
@@ -581,6 +609,29 @@ class TestEval:
         out = tmp_path / "metrics.json"
         assert run("eval", *given, "--data", str(beverage_csv), "-o", str(out)) == code
         assert f"{bad}: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, code", [("config", 2), ("split", 1), ("model-file", 1)])
+    def test_file_that_repeats_a_key_is_named(
+        self, tmp_path, capsys, beverage_csv, trained_model, target, code
+    ):
+        """A repeated key is refused at any depth: the model file repeats one in its groups."""
+        model = trained_model.read_text()
+        texts = {
+            "config": ("split", '{"split": null, "split": null}'),
+            "split": ("test", '{"test": [0], "test": [1]}'),
+            "model-file": ("g", model.replace('"matrices": {', '"matrices": {"g": [], "g": [], ', 1)),
+        }
+        key, text = texts[target]
+        assert text != model
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        paths = {"config": None, "split": None, "model-file": str(trained_model)}
+        paths[target] = str(bad)
+        given = [arg for name, path in paths.items() if path for arg in (f"--{name}", path)]
+        out = tmp_path / "metrics.json"
+        assert run("eval", *given, "--data", str(beverage_csv), "-o", str(out)) == code
+        assert f"{bad}: key '{key}' appears twice in one object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_metrics_with_truth_table(self, tmp_path, beverage_csv, trained_model):
@@ -1023,6 +1074,40 @@ def test_removed_option_is_unknown_config_key(tmp_path, capsys, command, key):
     conf.write_text(json.dumps({key: 1}))
     assert run(command, "--config", str(conf)) == 2
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+# Each TrainConfig field: its train flag and a value other than its default.
+TRAIN_FIELDS = {
+    "loss": ("--loss", "mse_onehot"),
+    "learning_rate": ("--lr", 0.5),
+    "batch_size": ("--batch", 7),
+    "max_epochs": ("--epochs", 9),
+    "patience": ("--patience", 2),
+    "seed": ("--seed", 4),
+    "lr2": ("--lr2", 0.05),
+    "lr_switch": ("--lr-switch", 3),
+    "clip_norm": ("--clip-norm", 1.5),
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "field-keys", "lr-schedule"])
+def test_every_train_config_field_is_set_from_a_train_option(tmp_path, source):
+    """Flags, config-file keys named as the fields, and a config-file
+    lr_schedule in place of the three rate-switch keys all reach TrainConfig."""
+    assert list(TRAIN_FIELDS) == [f.name for f in fields(trn.TrainConfig)]
+    values = {name: value for name, (_, value) in TRAIN_FIELDS.items()}
+    want = trn.TrainConfig(**values)
+    assert all(getattr(want, f.name) != f.default for f in fields(trn.TrainConfig))
+    if source == "flags":
+        argv = [arg for flag, value in TRAIN_FIELDS.values() for arg in (flag, str(value))]
+    else:
+        if source == "lr-schedule":
+            values["lr_schedule"] = [values.pop(k) for k in ("learning_rate", "lr2", "lr_switch")]
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(values))
+        argv = ["--config", str(conf)]
+    args = build_parser().parse_args(["train", *argv])
+    assert _train_config(_merge_config(args)) == want
 
 
 @pytest.mark.parametrize("command", ["eval", "halo"])

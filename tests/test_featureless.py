@@ -272,7 +272,7 @@ def test_rank_factored_matches_dense_fit():
         m = FeaturelessModel(3, 3, 1, "linear", rank=rank, seed=2)
         cfg = TrainConfig(
             loss="nll", learning_rate=0.05, max_epochs=600, seed=1,
-            lr_schedule=(0.05, 0.005, 400),
+            lr2=0.005, lr_switch=400,
         )
         m, hist = train(m, ds, cfg)
         nlls[rank] = hist.records[-1].train_loss

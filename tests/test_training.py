@@ -67,7 +67,7 @@ class TestMseOnehotLoss:
         m = FeaturelessModel.cmnl(3, seed=0)
         cfg = TrainConfig(
             loss="mse_onehot", learning_rate=0.05, max_epochs=500, seed=1,
-            lr_schedule=(0.05, 0.01, 350),
+            lr2=0.01, lr_switch=350,
         )
         m, _ = train(m, ds, cfg)
         fitted = m.probabilities((0, 1, 2))[[0, 1, 2]]
@@ -341,7 +341,7 @@ class TestInvariants:
         m = FeaturelessModel.deephalo(5, width=8, depth=3, activation="quadratic", seed=6)
         cfg = TrainConfig(
             loss="nll", learning_rate=0.05, max_epochs=400, seed=4,
-            lr_schedule=(0.05, 0.005, 300),
+            lr2=0.005, lr_switch=300,
         )
         m, _ = train(m, ds, cfg)
         test_obs = ds.observations_for("test")
@@ -373,8 +373,32 @@ class TestConfig:
 
     @pytest.mark.parametrize("schedule", [(math.nan, 0.01, 3), (0.1, math.inf, 3)])
     def test_non_finite_schedule_rate_rejected(self, schedule):
-        with pytest.raises(ValueError, match="schedule rates"):
-            TrainConfig(lr_schedule=schedule)
+        rate, rate2, switch = schedule
+        message = ("lr2 and lr_switch need learning_rate, a positive rate; got nan"
+                   if math.isnan(rate) else "lr_switch needs lr2, a positive finite rate; got inf")
+        with pytest.raises(ValueError) as info:
+            TrainConfig(learning_rate=rate, lr2=rate2, lr_switch=switch)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"lr2": 0.01}, "lr2 needs lr_switch, an epoch >= 1; got 0"),
+        ({"lr_switch": 3}, "lr_switch needs lr2, a positive finite rate; got 0.0"),
+        ({"learning_rate": 0.0, "lr2": 0.01, "lr_switch": 3},
+         "lr2 and lr_switch need learning_rate, a positive rate; got 0.0"),
+        ({"learning_rate": -0.1, "lr2": math.nan, "lr_switch": 0},
+         "lr2 and lr_switch need learning_rate, a positive rate; got -0.1"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["lr2-only", "switch-only", "zero-rate", "negative-rate-first", "negative-seed"])
+    def test_bad_rate_switch_or_seed_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**fields)
+        assert str(info.value) == message
+
+    def test_rate_switches_at_lr_switch(self):
+        config = TrainConfig(learning_rate=0.1, lr2=0.01, lr_switch=3)
+        rates = [config.rate_for_epoch(epoch) for epoch in (1, 2, 3, 4)]
+        assert rates == [0.1, 0.1, 0.01, 0.01]
+        assert TrainConfig(learning_rate=0.1).rate_for_epoch(1000) == 0.1
 
 
 # -- grouping contract ----------------------------------------------------------
