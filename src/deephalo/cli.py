@@ -79,11 +79,8 @@ class Manifest:
         self.payload["status"] = status
         self.payload["error"] = error
         self.payload["wall_ms"] = round((time.perf_counter() - self._start) * 1000, 3)
-        anchor = self.payload["outputs"][0] if self.payload["outputs"] else None
-        if anchor is None:
-            return
         text = json.dumps(self.payload, indent=2, allow_nan=False)
-        _atomic_write_text(f"{anchor}.manifest.json", text)
+        _atomic_write_text(f"{self.payload['outputs'][0]}.manifest.json", text)
 
     def __enter__(self) -> "Manifest":
         return self
@@ -242,12 +239,21 @@ def _flag(name: str) -> str:
     return "-o/--out" if name == "out" else "--" + name.replace("_", "-")
 
 
-def _check_paths(args, conf: dict, outputs: list[str], inputs: list[str]) -> None:
-    """Refuse two outputs, or an output and an input, that resolve to one file.
+def _require(command: str, conf: dict, *names: str) -> None:
+    """Refuse a run that lacks any of the options ``names``."""
+    for name in names:
+        if not conf[name]:
+            raise UsageError(f"{command} requires {_flag(name)}")
 
-    ``outputs`` and ``inputs`` name path options of ``conf``; unset ones
-    are skipped.  The run manifest beside the first output counts as an
-    output, and the ``--config`` file as an input.
+
+def _start(args, conf: dict, outputs: list[str], inputs: list[str]) -> Manifest:
+    """The run's manifest, beside the first output, once no two of its files clash.
+
+    ``outputs`` and ``inputs`` name path options of ``conf``, the first
+    output set; unset ones are skipped.  Two outputs, or an output and an
+    input, that resolve to one file are a usage error.  The manifest counts
+    as an output, and the ``--config`` file as an input; its ``inputs``
+    list the set inputs in order, then ``--config``.
     """
     named = [(_flag(name), conf[name]) for name in outputs]
     named.append((f"the run manifest of {named[0][0]}", f"{named[0][1]}.manifest.json"))
@@ -261,6 +267,9 @@ def _check_paths(args, conf: dict, outputs: list[str], inputs: list[str]) -> Non
                 raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
             if index < count:
                 seen[real] = flag
+    manifest = Manifest(args.command, conf, [path for _, path in named[count:] if path])
+    manifest.add_output(conf[outputs[0]])
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +279,8 @@ def _check_paths(args, conf: dict, outputs: list[str], inputs: list[str]) -> Non
 
 def _cmd_gen(args) -> int:
     conf = _merge_config(args)
-    if not conf["out"]:
-        raise UsageError("gen requires -o/--out")
-    _check_paths(args, conf, ["out", "truth_out"], [])
-    with Manifest("gen", conf, []) as manifest:
-        manifest.add_output(conf["out"])
+    _require("gen", conf, "out")
+    with _start(args, conf, ["out", "truth_out"], []) as manifest:
         if conf["n_per_set"] < 1:
             raise UsageError(f"--n-per-set must be at least 1, got {conf['n_per_set']}")
         if conf["seed"] < 0:
@@ -341,22 +347,20 @@ def _build_model(conf: dict, dataset: dat.Dataset, rank: int | None):
             rank=rank,
             seed=conf["seed"],
         )
-    if kind == "deephalo-feat":
-        if dataset.feature_dim == 0:
-            raise ValueError(
-                "model kind 'deephalo-feat' needs feature data (--items), "
-                "but the dataset is featureless"
-            )
-        sigma = "quadratic" if conf["activation"] == "quadratic" else "identity"
-        return FeaturedModel(
-            dataset.feature_dim,
-            conf["width"] or 16,
-            conf["heads"],
-            conf["depth"],
-            sigma=sigma,
-            seed=conf["seed"],
+    if dataset.feature_dim == 0:  # deephalo-feat, the last of MODEL_KINDS
+        raise ValueError(
+            "model kind 'deephalo-feat' needs feature data (--items), "
+            "but the dataset is featureless"
         )
-    raise UsageError(f"unknown model kind '{kind}'; choose from {MODEL_KINDS}")
+    sigma = "quadratic" if conf["activation"] == "quadratic" else "identity"
+    return FeaturedModel(
+        dataset.feature_dim,
+        conf["width"] or 16,
+        conf["heads"],
+        conf["depth"],
+        sigma=sigma,
+        seed=conf["seed"],
+    )
 
 
 def _train_config(conf: dict) -> trn.TrainConfig:
@@ -397,16 +401,12 @@ def _load_dataset(conf: dict, split: str) -> dat.Dataset:
 
 def _cmd_train(args) -> int:
     conf = _merge_config(args)
-    for required in ("model", "data", "out"):
-        if not conf[required]:
-            raise UsageError(f"train requires --{required.replace('_', '-')}")
+    _require("train", conf, "model", "data", "out")
     if conf["model"] != "deephalo-feat" and conf["items"]:
         raise UsageError("--items is only meaningful for deephalo-feat")
     if conf["model"] == "deephalo-feat" and not conf["items"]:
         raise UsageError("deephalo-feat needs its data's item features (--items)")
-    _check_paths(args, conf, ["out", "history"], ["data", "items", "split"])
-    with Manifest("train", conf, [conf["data"]]) as manifest:
-        manifest.add_output(conf["out"])
+    with _start(args, conf, ["out", "history"], ["data", "items", "split"]) as manifest:
         rank = _parse_rank(conf["rank"])
         config = _train_config(conf)
         for name, least in ARCHITECTURE_MINIMA.get(conf["model"], {}).items():
@@ -451,12 +451,8 @@ def _load_model(path: str):
 
 def _cmd_eval(args) -> int:
     conf = _merge_config(args)
-    for required in ("model_file", "data"):
-        if not conf[required]:
-            raise UsageError(f"eval requires --{required.replace('_', '-')}")
-    _check_paths(args, conf, ["out"], ["model_file", "data", "items", "split", "truth"])
-    with Manifest("eval", conf, [conf["model_file"], conf["data"]]) as manifest:
-        manifest.add_output(conf["out"])
+    _require("eval", conf, "model_file", "data", "out")
+    with _start(args, conf, ["out"], ["model_file", "data", "items", "split", "truth"]):
         model = _load_model(conf["model_file"])
         if model.kind != "featured" and conf["items"]:
             raise UsageError("--items is only meaningful for a featured model")
@@ -516,21 +512,14 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def _cmd_halo(args) -> int:
     conf = _merge_config(args)
     if conf["render_only"]:
-        if not conf["svg"]:
-            raise UsageError("--render-only needs --svg for its output")
-        _check_paths(args, conf, ["svg"], ["render_only"])
-        with Manifest("halo", conf, [conf["render_only"]]) as manifest:
-            manifest.add_output(conf["svg"])
+        _require("halo --render-only", conf, "svg")
+        with _start(args, conf, ["svg"], ["render_only"]):
             table = hal.read_halo_csv(conf["render_only"])
             hal.export_heatmap(table, conf["svg"], format="svg")
         return 0
 
-    for required in ("model_file", "out"):
-        if not conf[required]:
-            raise UsageError(f"halo requires --{required.replace('_', '-')}")
-    _check_paths(args, conf, ["out", "svg"], ["model_file"])
-    with Manifest("halo", conf, [conf["model_file"]]) as manifest:
-        manifest.add_output(conf["out"])
+    _require("halo", conf, "model_file", "out")
+    with _start(args, conf, ["out", "svg"], ["model_file"]) as manifest:
         if conf["max_order"] < 0:
             raise UsageError(f"--max-order must be at least 0, got {conf['max_order']}")
         pairs = [_parse_pair(conf["pair"])] if conf["pair"] else None

@@ -113,14 +113,8 @@ class FeaturedModel(ParameterStore):
         layer_norm: bool = True,
         seed: int = 0,
     ):
-        if feature_dim < 1 or embed_dim < 1 or heads < 1 or depth < 1:
-            raise ValueError("feature_dim, embed_dim, heads, depth must be positive")
-        if sigma not in SIGMAS:
-            raise ValueError(f"sigma must be one of {SIGMAS}")
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+        # group_shapes checks the architecture arguments.
+        self.group_shapes(feature_dim, embed_dim, heads, depth, sigma, variant, aggregation)
         self.feature_dim = feature_dim
         self.embed_dim = embed_dim
         self.heads = heads
@@ -161,6 +155,47 @@ class FeaturedModel(ParameterStore):
         p["readout"] = rng.normal(0.0, 0.02, size=(1, d))
 
     # -- parameters ------------------------------------------------------------
+
+    @staticmethod
+    def group_shapes(
+        feature_dim: int,
+        embed_dim: int,
+        heads: int,
+        depth: int,
+        sigma: str = "identity",
+        variant: str = "heads",
+        aggregation: str = "mean",
+        layer_norm: bool = True,
+    ) -> dict[str, tuple[int, ...]]:
+        """Each group's name and shape in ``groups()`` order, once the
+        architecture is checked."""
+        if feature_dim < 1 or embed_dim < 1 or heads < 1 or depth < 1:
+            raise ValueError("feature_dim, embed_dim, heads, depth must be positive")
+        if sigma not in SIGMAS:
+            raise ValueError(f"sigma must be one of {SIGMAS}")
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}")
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+        d = embed_dim
+        norm = {"ln_gain": (d, 1), "ln_bias": (d, 1)} if layer_norm else {}
+        shapes = {
+            "embed.w1": (d, feature_dim), "embed.b1": (d, 1),
+            "embed.w2": (d, d), "embed.b2": (d, 1),
+            "embed.w3": (d, d), "embed.b3": (d, 1),
+        }
+        shapes.update((f"embed.{name}", shape) for name, shape in norm.items())
+        for l in range(depth):
+            shapes[f"layer{l}.agg"] = (d if variant == "resnet" else heads, d)
+            if variant == "heads":
+                for i in range(heads):
+                    shapes[f"layer{l}.head{i}.w"] = (d, d)
+                    shapes[f"layer{l}.head{i}.b"] = (d, 1)
+                shapes[f"layer{l}.shared_w"] = (d, d)
+                shapes[f"layer{l}.shared_b"] = (d, 1)
+                shapes.update((f"layer{l}.{name}", shape) for name, shape in norm.items())
+        shapes["readout"] = (1, d)
+        return shapes
 
     def groups(self) -> list[tuple[str, np.ndarray]]:
         return list(self.params.items())

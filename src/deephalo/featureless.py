@@ -183,6 +183,10 @@ class ParameterStore:
     A model declares
     * ``groups()``: its weight groups as (name, array) pairs in file order,
       each array the live storage that training and loading update in place;
+    * ``group_shapes(**header)``: the same names in the same order, each with
+      its shape, read off the constructor's architecture arguments alone
+      after checking them as the constructor does, so that a model file is
+      checked before any array of its architecture is drawn;
     * ``frozen()``: the names of the groups that training leaves alone
       (none unless overridden);
     * ``HEADER``: file header key -> (constructor argument, allowed types,
@@ -235,19 +239,21 @@ class ParameterStore:
         """The model a file declares, every declared group filled from the file.
 
         A missing group and an undeclared one are both errors naming it.
+        Every group is checked against the header before the model is built.
         """
         check_header(payload, cls.kind, cls.HEADER, cls.GROUPS)
         given = {arg: payload[key] for key, (arg, _, _) in cls.HEADER.items() if key in payload}
-        model = cls(**given)
+        declared = cls.group_shapes(**given)
         stored = payload[cls.GROUPS]
-        declared = dict(model.groups())
         for name in [*declared, *sorted(stored)]:
             if name not in stored:
                 raise ValueError(f"model file is missing weight group '{name}'")
             if name not in declared:
                 raise ValueError(f"weight group '{name}' is not in the declared architecture")
-        for name, arr in declared.items():
-            arr[...] = weight_group(name, stored[name], arr.shape)
+        values = [weight_group(name, stored[name], shape) for name, shape in declared.items()]
+        model = cls(**given)
+        for (_, arr), value in zip(model.groups(), values):
+            arr[...] = value
         return model
 
     def save(self, path) -> None:
@@ -297,18 +303,8 @@ class FeaturelessModel(ParameterStore):
         interactions_trainable: bool = True,
         seed: int = 0,
     ):
-        if universe < 1:
-            raise ValueError("universe must be positive")
-        if width < universe:
-            raise ValueError(f"width {width} must be at least universe {universe}")
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if output_mode not in OUTPUT_MODES:
-            raise ValueError(f"output_mode must be one of {OUTPUT_MODES}")
-        if rank is not None and rank < 1:
-            raise ValueError("rank must be positive when given")
+        # group_shapes checks the architecture arguments.
+        self.group_shapes(universe, width, depth, activation, rank, output_mode)
         self.universe = universe
         self.width = width
         self.depth = depth
@@ -382,6 +378,41 @@ class FeaturelessModel(ParameterStore):
         return cls(universe, universe, 1, "linear", output_mode="identity", seed=seed)
 
     # -- parameters ----------------------------------------------------------
+
+    @staticmethod
+    def group_shapes(
+        universe: int,
+        width: int,
+        depth: int,
+        activation: str = "quadratic",
+        rank: int | None = None,
+        output_mode: str = "dense",
+        **flags,
+    ) -> dict[str, tuple[int, ...]]:
+        """Each group's name and shape in ``groups()`` order, once the
+        architecture is checked (its two flags shape no group)."""
+        if universe < 1:
+            raise ValueError("universe must be positive")
+        if width < universe:
+            raise ValueError(f"width {width} must be at least universe {universe}")
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if output_mode not in OUTPUT_MODES:
+            raise ValueError(f"output_mode must be one of {OUTPUT_MODES}")
+        if rank is not None and rank < 1:
+            raise ValueError("rank must be positive when given")
+        shapes = {}
+        for i in range(depth):
+            in_dim = universe if i == 0 else width
+            if rank is None:
+                shapes[f"layer{i}"] = (width, in_dim)
+            else:
+                shapes[f"layer{i}.left"], shapes[f"layer{i}.right"] = (rank, width), (rank, in_dim)
+        if output_mode != "identity":
+            shapes["readout"] = (universe, width if output_mode == "dense" else 1)
+        return shapes
 
     def groups(self) -> list[tuple[str, np.ndarray]]:
         out = []

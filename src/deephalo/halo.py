@@ -409,22 +409,41 @@ def _entry_fault(j: int, k: int, src: tuple[int, ...], universe, max_order) -> s
     return None
 
 
+# The header keys of a halo CSV, each with its least value.
+_HEADER_LEAST = {"universe": 1, "max_order": 0}
+
+
 def read_halo_csv(path) -> RelativeHaloTable:
-    """The table in a halo CSV; each entry must be one that :func:`write_halo_csv` writes."""
+    """The table in a halo CSV; each entry must be one that :func:`write_halo_csv` writes.
+
+    Comment lines may give each header key once, ``universe`` at least 1
+    and ``max_order`` at least 0, as the writer does.
+    """
     comments: list[tuple[int, str]] = []
     _, rows, codes, numbers = _read_table(path, "pair_j,pair_k,source_set,alpha",
                                           rows_required=False, comments=comments)
     header: dict[str, int] = {}
+    header_line: dict[str, int] = {}
     for lineno, comment in comments:
         for token in comment.lstrip("#").split():
             key, _, value = token.partition("=")
-            if key in ("universe", "max_order"):
-                try:
-                    header[key] = int(value)
-                except ValueError:
-                    raise DataFormatError(
-                        f"line {lineno}: header key '{key}' must be an integer, got {value!r}"
-                    ) from None
+            if key not in _HEADER_LEAST:
+                continue
+            if key in header_line:
+                raise DataFormatError(
+                    f"line {lineno}: header key '{key}' repeats line {header_line[key]}"
+                )
+            try:
+                header[key], header_line[key] = int(value), lineno
+            except ValueError:
+                raise DataFormatError(
+                    f"line {lineno}: header key '{key}' must be an integer, got {value!r}"
+                ) from None
+            if header[key] < _HEADER_LEAST[key]:
+                raise DataFormatError(
+                    f"line {lineno}: header key '{key}' must be at least "
+                    f"{_HEADER_LEAST[key]}, got {header[key]}"
+                )
     universe, max_order = header.get("universe"), header.get("max_order")
     entries: dict[tuple[int, int, tuple[int, ...]], float] = {}
     first_line: dict[tuple[int, int, tuple[int, ...]], int] = {}

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: plumbing, codes, reproducibility."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -841,9 +842,14 @@ class TestModelFileValidation:
          "model file has unknown key 'first_layer_residul'"),
         (dict(FeaturedModel(1, 4, 1, 1).to_json(), layer_nrom=False),
          "model file has unknown key 'layer_nrom'"),
+        (dict(FeaturelessModel.cmnl(1).to_json(), J=1000, J_prime=1000),
+         "weight group 'layer0' has shape (1, 1); the declared architecture needs (1000, 1000)"),
+        (dict(FeaturedModel(1, 1, 1, 1).to_json(), d=500),
+         "weight group 'embed.w1' has shape (1, 1); the declared architecture needs (500, 1)"),
     ], ids=["list", "string-size", "float-size", "null-size",
             "layer-past-depth", "identity-readout", "misspelt-group",
-            "misspelt-featureless-key", "misspelt-featured-key"])
+            "misspelt-featureless-key", "misspelt-featured-key", "oversized-featureless",
+            "oversized-featured"])
     def test_malformed_header_exits_1(self, tmp_path, capsys, command, payload, named):
         _, obs = _featured_inputs(tmp_path)
         model = tmp_path / "model.json"
@@ -951,6 +957,20 @@ class TestHalo:
         assert "error: line 1: header key 'universe'" in capsys.readouterr().err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("header, message", [
+        ("# universe=-5 max_order=-1", "line 1: header key 'universe' must be at least 1, got -5"),
+        ("# universe=3 max_order=-1", "line 1: header key 'max_order' must be at least 0, got -1"),
+        ("# universe=3 max_order=2 universe=4", "line 1: header key 'universe' repeats line 1"),
+    ], ids=["universe", "max-order", "repeated-key"])
+    def test_render_only_header_writer_never_writes_exits_1(self, tmp_path, capsys, header,
+                                                            message):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text(f"{header}\npair_j,pair_k,source_set,alpha\n")
+        svg = tmp_path / "alpha.svg"
+        assert run("halo", "--render-only", str(alpha), "--svg", str(svg)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not svg.exists()
+
     def test_render_only_entry_less_csv(self, tmp_path, capsys):
         alpha = tmp_path / "alpha.csv"
         alpha.write_text("pair_j,pair_k,source_set,alpha\n")
@@ -1016,20 +1036,31 @@ class TestHalo:
         assert "subset budget" in OPTIONS["halo"]["force"][1]["help"]
 
 
+@pytest.fixture
+def workdir(tmp_path, monkeypatch, beverage_csv, trained_model):
+    """A working directory holding an input file of every kind, run from."""
+    (tmp_path / "bev.csv").write_bytes(beverage_csv.read_bytes())
+    (tmp_path / "m.json").write_bytes(trained_model.read_bytes())
+    (tmp_path / "alpha.csv").write_text("pair_j,pair_k,source_set,alpha\n0,1,,0.5\n")
+    (tmp_path / "s.csv").write_text("keep\n")
+    (tmp_path / "conf.json").write_text(json.dumps({"fixture": "beverage"}))
+    (tmp_path / "link.csv").symlink_to(tmp_path / "bev.csv")
+    _featured_inputs(tmp_path)
+    dat.write_probability_table(dat.beverage_fixture(), tmp_path / "truth.csv")
+    (tmp_path / "split.json").write_text(json.dumps(
+        {"train": list(range(100)), "val": list(range(100, 200)), "test": list(range(200, 300))}
+    ))
+    for name, payload in [("tconf.json", {"model": "mnl", "epochs": 1}),
+                          ("econf.json", {"data": "bev.csv"}),
+                          ("hconf.json", {"max_order": 1})]:
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
 class TestPathCollisions:
     """Two outputs, or an output and an input, that are one file: a usage
     error naming both flags, before anything is read or written."""
-
-    @pytest.fixture
-    def workdir(self, tmp_path, monkeypatch, beverage_csv, trained_model):
-        (tmp_path / "bev.csv").write_bytes(beverage_csv.read_bytes())
-        (tmp_path / "m.json").write_bytes(trained_model.read_bytes())
-        (tmp_path / "alpha.csv").write_text("pair_j,pair_k,source_set,alpha\n0,1,,0.5\n")
-        (tmp_path / "s.csv").write_text("keep\n")
-        (tmp_path / "conf.json").write_text(json.dumps({"fixture": "beverage"}))
-        (tmp_path / "link.csv").symlink_to(tmp_path / "bev.csv")
-        monkeypatch.chdir(tmp_path)
-        return tmp_path
 
     @pytest.mark.parametrize("argv, first, second", [
         ("gen --fixture beverage -o s.csv --truth-out s.csv", "-o/--out", "--truth-out"),
@@ -1058,6 +1089,54 @@ class TestPathCollisions:
     def test_distinct_files_run(self, workdir):
         assert run("halo", "--render-only", "alpha.csv", "--svg", "alpha.svg") == 0
         assert (workdir / "alpha.svg").exists()
+
+
+class TestCommandStart:
+    """Every command checks its required options, then its option rules, then
+    its files, and only then opens its manifest, which lists every input."""
+
+    @pytest.mark.parametrize("argv, anchor, inputs", [
+        ("gen --config conf.json --n-per-set 2 -o g.csv", "g.csv", ["conf.json"]),
+        ("train --config tconf.json --data bev.csv --split split.json -o t.json",
+         "t.json", ["bev.csv", "split.json", "tconf.json"]),
+        ("train --model deephalo-feat --data obs.csv --items items.csv --epochs 1 -o t.json",
+         "t.json", ["obs.csv", "items.csv"]),
+        ("eval --config econf.json --model-file m.json --split split.json --truth truth.csv "
+         "-o e.json", "e.json", ["m.json", "bev.csv", "split.json", "truth.csv", "econf.json"]),
+        ("halo --config hconf.json --model-file m.json -o a.csv --svg a.svg",
+         "a.csv", ["m.json", "hconf.json"]),
+        ("halo --render-only alpha.csv --svg a.svg", "a.svg", ["alpha.csv"]),
+    ], ids=["gen", "train", "train-items", "eval", "halo", "render-only"])
+    def test_manifest_lists_every_input(self, workdir, argv, anchor, inputs):
+        with contextlib.redirect_stdout(None):
+            assert run(*argv.split()) == 0
+        manifest = json.loads((workdir / f"{anchor}.manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["inputs"] == inputs
+
+    @pytest.mark.parametrize("argv, message", [
+        ("gen --fixture beverage", "gen requires -o/--out"),
+        ("train --data bev.csv -o t.json", "train requires --model"),
+        ("train --model mnl -o t.json", "train requires --data"),
+        ("train --model mnl --data bev.csv", "train requires -o/--out"),
+        ("train --model mnl --items items.csv -o t.json", "train requires --data"),
+        ("train --model mnl --data bev.csv --items items.csv -o bev.csv",
+         "--items is only meaningful for deephalo-feat"),
+        ("eval --data bev.csv", "eval requires --model-file"),
+        ("eval --model-file m.json", "eval requires --data"),
+        ("eval --model-file m.json --data bev.csv -o=", "eval requires -o/--out"),
+        ("halo -o a.csv", "halo requires --model-file"),
+        ("halo --model-file m.json", "halo requires -o/--out"),
+        ("halo --render-only alpha.csv", "halo --render-only requires --svg"),
+    ], ids=["gen-out", "train-model", "train-data", "train-out", "train-data-before-items",
+            "train-items-before-files", "eval-model", "eval-data", "eval-out", "halo-model",
+            "halo-out", "render-only-svg"])
+    def test_first_failed_check_is_reported_and_nothing_written(
+        self, workdir, capsys, argv, message
+    ):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert run(*argv.split()) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, flag", [

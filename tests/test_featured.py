@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,9 +439,10 @@ class TestModelFileValidation:
     def payload(self):
         return FeaturedModel(3, 4, 2, 2, seed=1).to_json()
 
-    @pytest.mark.parametrize("variant", ["heads", "resnet"])
+    @pytest.mark.parametrize("variant", ["heads", "resnet", "heads-sum-no-norm"])
     def test_param_nodes_and_file_keys_follow_declarations(self, variant):
-        m = FeaturedModel(3, 4, 2, 2, variant=variant, seed=1)
+        options = {"heads-sum-no-norm": {"aggregation": "sum", "layer_norm": False}}
+        m = FeaturedModel(3, 4, 2, 2, **options.get(variant, {"variant": variant}), seed=1)
         assert_follows_declarations(m)
         assert FeaturedModel.from_json(m.to_json()).to_json() == m.to_json()
 
@@ -493,6 +495,22 @@ class TestModelFileValidation:
         payload[key] = False
         with pytest.raises(ValueError, match=f"model file has unknown key '{key}'$"):
             FeaturedModel.from_json(payload)
+
+    def test_groups_checked_before_the_architecture_is_built(self):
+        """A file that declares a large model but stores 1x1 groups is refused
+        with a peak that does not grow with the declared size."""
+        peaks = []
+        for d in (50, 500):
+            payload = dict(FeaturedModel(3, 4, 4, 2).to_json(), d=d)
+            payload["weights"] = {name: [[0.5]] for name in ["embed.w1", "embed.b1", "readout"]}
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="missing weight group 'embed.w2'"):
+                    FeaturedModel.from_json(payload)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 100_000  # one 500 x 500 matrix alone is 2,000,000 bytes
 
     def test_weights_must_be_an_object(self):
         payload = self.payload()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,7 +322,8 @@ PRESETS = {
 
 
 def assert_follows_declarations(m):
-    """Parameters of exactly the trainable groups, file keys of exactly the header."""
+    """Parameters of exactly the trainable groups, file keys of exactly the
+    header, group shapes of exactly ``group_shapes``."""
     trainable = {name for name, _ in m.trainables()}
     nodes = m.make_param_nodes(trainable=True)
     assert list(nodes) == [name for name, _ in m.groups()]
@@ -330,6 +332,10 @@ def assert_follows_declarations(m):
     payload = m.to_json()
     assert set(payload) == set(m.HEADER) | {"format_version", "kind", m.GROUPS}
     assert list(payload[m.GROUPS]) == list(nodes)
+    # The shapes a model file is checked against, from its header alone.
+    header = {arg: getattr(m, arg) for arg, _, _ in m.HEADER.values()}
+    shapes = [(name, arr.shape) for name, arr in m.groups()]
+    assert list(m.group_shapes(**header).items()) == shapes
 
 
 class TestSerialization:
@@ -433,6 +439,25 @@ class TestSerialization:
     def test_payload_must_be_an_object(self):
         with pytest.raises(ValueError, match="must hold a JSON object, got an array"):
             FeaturelessModel.from_json([FeaturelessModel.mnl(3).to_json()])
+
+    def test_groups_checked_before_the_architecture_is_built(self):
+        """A file that declares a large model but stores 1x1 groups is refused
+        with a peak that does not grow with the declared size."""
+        peaks = []
+        for size in (250, 1000):
+            payload = dict(FeaturelessModel.deephalo(2, depth=3).to_json(), J=size, J_prime=size)
+            payload["matrices"] = {name: [[0.5]] for name in payload["matrices"]}
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=re.escape(
+                    f"weight group 'layer0' has shape (1, 1); "
+                    f"the declared architecture needs ({size}, {size})"
+                )):
+                    FeaturelessModel.from_json(payload)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 100_000  # one 250 x 250 layer alone is 500,000 bytes
 
     def test_file_that_is_not_json_is_named(self, tmp_path):
         path = tmp_path / "m.json"

@@ -970,6 +970,12 @@ class TestExport:
     @pytest.mark.parametrize("header, message", [
         ("# universe=x max_order=1", "line 1: header key 'universe' must be an integer, got 'x'"),
         ("# universe=3 max_order=", "line 1: header key 'max_order' must be an integer, got ''"),
+        ("# universe=3 max_order=2 universe=4", "line 1: header key 'universe' repeats line 1"),
+        ("# universe=3 max_order=1\n# from universe=10", "line 2: header key 'universe' repeats line 1"),
+        ("# max_order=1\n# universe=3 max_order=1", "line 2: header key 'max_order' repeats line 1"),
+        ("# universe=0 max_order=1", "line 1: header key 'universe' must be at least 1, got 0"),
+        ("# universe=-5 max_order=-1", "line 1: header key 'universe' must be at least 1, got -5"),
+        ("# universe=3\n# max_order=-1", "line 2: header key 'max_order' must be at least 0, got -1"),
     ])
     def test_csv_malformed_header_reports_line(self, tmp_path, header, message):
         path = tmp_path / "alpha.csv"

@@ -16,6 +16,22 @@ cover both losses, full and mini-batches, patience, a rate switch,
 clipping, a featured model, and the switch given as flags and as a
 config-file ``lr_schedule``.
 
+So must every output of the small beverage run of ``CLI_COMMANDS``
+(``gen``, ``train`` with ``--split`` and ``--config``, ``eval`` with
+``--truth`` and ``--split``, full and ``--pair`` ``halo`` tables, and
+``halo --render-only``), each file hashed on its own and the history CSV
+without its ``wall_ms`` column.  Run manifests are left out: they record
+the wall time.
+
+And so must the halo tables of each model of ``HALO_MODELS``, featureless
+architectures and catalog views of featured models: relative tables over
+all pairs and over one pair at orders 2 and n - 1, a context table, and
+one lone ``marginal_effect``, ``relative_halo`` and ``reconstruct_utility``
+call: a table is hashed from its keys and the ``float.hex`` of their
+values, in table order, and a lone value is recorded as its ``float.hex``.
+Every item is checked through the model's batched forward and through a
+view that exposes only ``set_utilities``, against the one recorded digest.
+
 NumPy picks its float64 ``exp`` and ``log`` loops by CPU feature, so the
 digests hold only where they were written: the file records Python,
 NumPy, the machine and NumPy's enabled CPU features, and the test skips,
@@ -29,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -44,8 +61,8 @@ for _path in (ROOT / "bench", ROOT / "src"):
         sys.path.insert(0, str(_path))
 
 import workloads  # noqa: E402
-from deephalo import cli, data, training  # noqa: E402
-from deephalo.featured import FeaturedModel  # noqa: E402
+from deephalo import cli, data, halo, training  # noqa: E402
+from deephalo.featured import CatalogSetModel, FeaturedModel  # noqa: E402
 from deephalo.featureless import FeaturelessModel  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("workload_digests.json")
@@ -186,6 +203,104 @@ def training_digests(name: str, workdir) -> dict[str, str]:
             "history.csv": _sha256("\n".join(row.rsplit(",", 1)[0] for row in history).encode())}
 
 
+# The CLI run: (command argv, {name} standing for the file name in the work
+# directory; the outputs it digests).  ``split.json`` and ``conf.json`` are written first.
+CLI_COMMANDS = [
+    (["gen", "--fixture", "beverage", "--n-per-set", "30", "--seed", "2",
+      "-o", "{data.csv}", "--truth-out", "{truth.csv}"], ["data.csv", "truth.csv"]),
+    (["train", "--config", "{conf.json}", "--data", "{data.csv}", "--split", "{split.json}",
+      "-o", "{model.json}", "--history", "{history.csv}"], ["model.json", "history.csv"]),
+    (["eval", "--model-file", "{model.json}", "--data", "{data.csv}", "--split", "{split.json}",
+      "--truth", "{truth.csv}", "-o", "{metrics.json}"], ["metrics.json", "eval stdout"]),
+    (["halo", "--model-file", "{model.json}", "-o", "{alpha.csv}", "--svg", "{alpha.svg}"],
+     ["alpha.csv", "alpha.svg"]),
+    (["halo", "--model-file", "{model.json}", "--pair", "1,3", "--max-order", "1",
+      "-o", "{pair.csv}"], ["pair.csv"]),
+    (["halo", "--render-only", "{alpha.csv}", "--svg", "{render.svg}"], ["render.svg"]),
+]
+CLI_FILES = {
+    "split.json": {"train": list(range(200)), "val": list(range(200, 270)),
+                   "test": list(range(270, 330))},
+    "conf.json": {"model": "deephalo-fl", "width": 5, "lr": 0.05, "epochs": 4, "seed": 3},
+}
+CLI_OUTPUTS = [name for _, outputs in CLI_COMMANDS for name in outputs]
+
+
+def cli_digests(workdir) -> dict[str, str]:
+    """sha256 of each output of the ``CLI_COMMANDS`` run, by output name."""
+    for name, payload in CLI_FILES.items():
+        Path(workdir, name).write_text(json.dumps(payload), encoding="utf-8")
+    digests = {}
+    for argv, outputs in CLI_COMMANDS:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            argv = [str(Path(workdir, arg[1:-1])) if arg[0] == "{" else arg for arg in argv]
+            assert cli.main(argv) == 0, argv
+        for name in outputs:
+            if name == "eval stdout":
+                digests[name] = _sha256(printed.getvalue().encode())
+            elif name == "history.csv":
+                rows = Path(workdir, name).read_text(encoding="utf-8").splitlines()
+                digests[name] = _sha256("\n".join(row.rsplit(",", 1)[0] for row in rows).encode())
+            else:
+                digests[name] = _sha256(Path(workdir, name).read_bytes())
+    return digests
+
+
+class _PerSet:
+    """A model seen only through ``set_utilities``: halo extraction's per-set path."""
+
+    def __init__(self, model):
+        self.model, self.universe = model, model.universe
+
+    def set_utilities(self, ids):
+        return self.model.set_utilities(ids)
+
+
+def _featureless(**kw):
+    shape = {"width": kw.pop("width", 7), "depth": kw.pop("depth", 2)}
+    return lambda: FeaturelessModel(5, seed=3, **shape, **kw)
+
+
+def _catalog(**kw):
+    catalog = np.random.default_rng(0).normal(size=(3, 5))
+    return lambda: CatalogSetModel(FeaturedModel(3, 6, 2, 2, **kw), catalog)
+
+
+# Five-item set-utility models whose halo tables are digested.
+HALO_MODELS = {
+    "quadratic dense": _featureless(),
+    "linear dense": _featureless(activation="linear", depth=3),
+    "identity readout": _featureless(width=5, output_mode="identity"),
+    "diagonal readout": _featureless(width=5, output_mode="diagonal"),
+    "low rank": _featureless(rank=2),
+    "no first-layer residual": _featureless(first_layer_residual=False),
+    "catalog heads mean norm": _catalog(sigma="quadratic", seed=4),
+    "catalog resnet sum": _catalog(variant="resnet", aggregation="sum", layer_norm=False, seed=5),
+}
+HALO_ITEMS = ["relative order 2", "relative order 4", "pair order 2", "pair order 4",
+              "context order 2", "marginal_effect", "relative_halo", "reconstruct_utility"]
+
+
+def _table_digest(table) -> str:
+    return _sha256("\n".join(f"{key}:{value.hex()}"
+                              for key, value in table.entries.items()).encode())
+
+
+def halo_digests(model) -> dict[str, str]:
+    """Each ``HALO_ITEMS`` table of ``model`` as a sha256, each lone value as its ``float.hex``."""
+    digests = {}
+    for order in (2, 4):
+        digests[f"relative order {order}"] = _table_digest(halo.full_relative_table(model, order))
+        digests[f"pair order {order}"] = _table_digest(
+            halo.full_relative_table(model, order, pairs=[(1, 3)]))
+    digests["context order 2"] = _table_digest(halo.full_context_table(model, 2))
+    digests["marginal_effect"] = halo.marginal_effect(model, 2, (0, 3, 4)).hex()
+    digests["relative_halo"] = halo.relative_halo(model, 4, 1, (0, 2)).hex()
+    digests["reconstruct_utility"] = halo.reconstruct_utility(model, 3, range(5)).hex()
+    return digests
+
+
 def _recorded() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -218,6 +333,23 @@ def test_training_run_matches_committed_digests(name, tmp_path):
     assert sorted(got) == sorted(want) and not moved, f"{name}: digests moved for {moved}"
 
 
+def test_cli_run_matches_committed_digests(tmp_path):
+    want = _recorded_here()["cli"]
+    got = cli_digests(tmp_path)
+    moved = [name for name in want if got[name] != want[name]]
+    assert sorted(got) == sorted(want) and not moved, f"CLI outputs moved: {moved}"
+
+
+@pytest.mark.parametrize("path", ["batched", "per-set"])
+@pytest.mark.parametrize("name", list(HALO_MODELS))
+def test_halo_tables_match_committed_digests(name, path):
+    want = _recorded_here()["halo"][name]
+    model = HALO_MODELS[name]()
+    got = halo_digests(model if path == "batched" else _PerSet(model))
+    moved = [item for item in HALO_ITEMS if got[item] != want[item]]
+    assert not moved, f"{name} ({path}): digests moved for {moved}"
+
+
 def test_committed_file_covers_every_workload_and_seed():
     recorded = _recorded()
     assert sorted(recorded["digests"]) == sorted(workloads.WORKLOADS) == sorted(PARTS)
@@ -225,6 +357,9 @@ def test_committed_file_covers_every_workload_and_seed():
         assert sorted(by_seed) == sorted(map(str, SEEDS))
         assert all(sorted(parts) == sorted(PARTS[name]) for parts in by_seed.values())
     assert sorted(recorded["training"]) == sorted(TRAINING_RUNS)
+    assert sorted(recorded["cli"]) == sorted(CLI_OUTPUTS)
+    assert sorted(recorded["halo"]) == sorted(HALO_MODELS)
+    assert all(sorted(items) == sorted(HALO_ITEMS) for items in recorded["halo"].values())
 
 
 def write() -> None:
@@ -242,7 +377,12 @@ def write() -> None:
             out = Path(workdir, name.replace(" ", "-"))
             out.mkdir()
             training_runs[name] = training_digests(name, out)
-    payload = {"environment": environment(), "digests": digests, "training": training_runs}
+        out = Path(workdir, "cli")
+        out.mkdir()
+        cli_outputs = cli_digests(out)
+    tables = {name: halo_digests(make()) for name, make in HALO_MODELS.items()}
+    payload = {"environment": environment(), "digests": digests, "training": training_runs,
+               "cli": cli_outputs, "halo": tables}
     DIGESTS.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS}")
 
